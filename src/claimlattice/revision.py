@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from . import assessment as asmt
@@ -152,28 +152,29 @@ def _resolve_claim(state: AnalysisState, node: str, ref: str) -> str:
     raise UnknownRevisionTarget(f"no claim {ref!r} at node {node!r}")
 
 
-def _lower_claim(state: AnalysisState, node: str, key: str,
-                 reason: str) -> AnalysisState:
-    from dataclasses import replace as dc_replace
-    entry = state.nodes[node].entries[key]
-    state = mark_evidence(state, entry.evidence_ids, EvidenceStatus.SUPERSEDED, reason)
-    entries = dict(state.nodes[node].entries)
-    entries[key] = dc_replace(entry, assessment=asmt.bottom(state.kind))
-    nodes = dict(state.nodes)
-    nodes[node] = type(state.nodes[node])(entries=entries)
-    return dc_replace(state, nodes=nodes)
+def _apply_move(state: AnalysisState, node: str, action: str, ref: str,
+                reason: str, epoch: int) -> tuple[AnalysisState, RevisionEntry]:
+    """Lower a claim to bottom or retract it outright.
 
-
-def _retract_claim(state: AnalysisState, node: str, key: str,
-                   reason: str) -> AnalysisState:
-    from dataclasses import replace as dc_replace
+    Either way the claim's evidence is flagged (superseded or retracted, never
+    deleted) and the journal entry keeps the erased assessment.
+    """
+    key = _resolve_claim(state, node, ref)
     entry = state.nodes[node].entries[key]
-    state = mark_evidence(state, entry.evidence_ids, EvidenceStatus.RETRACTED, reason)
+    journal = RevisionEntry(
+        epoch=epoch, node=node, claim_key=key, claim_label=entry.claim.label,
+        action=action, reason=reason, old_assessment=entry.assessment)
     entries = dict(state.nodes[node].entries)
-    del entries[key]
+    if action == ACTION_LOWER:
+        status = EvidenceStatus.SUPERSEDED
+        entries[key] = replace(entry, assessment=asmt.bottom(state.kind))
+    else:
+        status = EvidenceStatus.RETRACTED
+        del entries[key]
+    state = mark_evidence(state, entry.evidence_ids, status, reason)
     nodes = dict(state.nodes)
-    nodes[node] = type(state.nodes[node])(entries=entries)
-    return dc_replace(state, nodes=nodes)
+    nodes[node] = replace(state.nodes[node], entries=entries)
+    return replace(state, nodes=nodes), journal
 
 
 def apply_revision(
@@ -198,24 +199,13 @@ def apply_revision(
             + ", ".join(pending_worklist))
     entries: list[RevisionEntry] = []
     touched: set[str] = set()
-    for target in plan.lowers:
-        key = _resolve_claim(state, target.node, target.claim)
-        entry = state.nodes[target.node].entries[key]
-        entries.append(RevisionEntry(
-            epoch=epoch, node=target.node, claim_key=key,
-            claim_label=entry.claim.label, action=ACTION_LOWER,
-            reason=target.reason, old_assessment=entry.assessment))
-        state = _lower_claim(state, target.node, key, target.reason)
-        touched.add(target.node)
-    for target in plan.retractions:
-        key = _resolve_claim(state, target.node, target.claim)
-        entry = state.nodes[target.node].entries[key]
-        entries.append(RevisionEntry(
-            epoch=epoch, node=target.node, claim_key=key,
-            claim_label=entry.claim.label, action=ACTION_RETRACT,
-            reason=target.reason, old_assessment=entry.assessment))
-        state = _retract_claim(state, target.node, key, target.reason)
-        touched.add(target.node)
+    for action, targets in ((ACTION_LOWER, plan.lowers),
+                            (ACTION_RETRACT, plan.retractions)):
+        for target in targets:
+            state, entry = _apply_move(state, target.node, action, target.claim,
+                                       target.reason, epoch)
+            entries.append(entry)
+            touched.add(target.node)
 
     reseed: set[str] = set(touched)
     for node in touched:
@@ -270,24 +260,7 @@ class BoundedRevision:
                 log.info("bounded %s at %s denied by revision limits",
                          move.action, move.node)
                 continue
-            if move.action == ACTION_LOWER:
-                key = _resolve_claim(state, move.node, move.claim or "")
-                entry = state.nodes[move.node].entries[key]
-                self.journal.append(RevisionEntry(
-                    epoch=epoch, node=move.node, claim_key=key,
-                    claim_label=entry.claim.label, action=ACTION_LOWER,
-                    reason=move.reason, old_assessment=entry.assessment))
-                state = _lower_claim(state, move.node, key, move.reason)
-                allowance += height
-            elif move.action == ACTION_RETRACT:
-                key = _resolve_claim(state, move.node, move.claim or "")
-                entry = state.nodes[move.node].entries[key]
-                self.journal.append(RevisionEntry(
-                    epoch=epoch, node=move.node, claim_key=key,
-                    claim_label=entry.claim.label, action=ACTION_RETRACT,
-                    reason=move.reason, old_assessment=entry.assessment))
-                state = _retract_claim(state, move.node, key, move.reason)
-            elif move.action == ACTION_INTRODUCE:
+            if move.action == ACTION_INTRODUCE:
                 if not move.text:
                     raise UnknownRevisionTarget(
                         f"introduce move at {move.node!r} has no claim text")
@@ -306,7 +279,13 @@ class BoundedRevision:
                     reason=move.reason, old_assessment=None))
                 allowance += height + 1
             else:
-                raise UnknownRevisionTarget(f"unknown revision action {move.action!r}")
+                # The guard has already rejected any action it has no
+                # limit for, so this is a lower or a retract.
+                state, entry = _apply_move(state, move.node, move.action,
+                                           move.claim or "", move.reason, epoch)
+                self.journal.append(entry)
+                if move.action == ACTION_LOWER:
+                    allowance += height
             wake.append(move.node)
             wake.extend(sorted(extended_successors(self._graph, move.node)))
         if len(self.journal) == journal_before:
@@ -354,7 +333,6 @@ def run_epochs(
     excerpt_cap: int = 8,
     agent_retries: int = 1,
     bounded: BoundedRevision | None = None,
-    check_invariants: bool = True,
 ) -> EpochResult:
     """Stabilize, apply the boundary plan, re-seed, repeat.
 
@@ -386,9 +364,7 @@ def run_epochs(
             epoch=epoch,
             seeds=reseed,
             columns=columns,
-            init_action="init" if epoch == 1 else "revision",
             mid_run=bounded,
-            check_invariants=check_invariants,
         )
         state = result.state
         traces.append(result.trace)

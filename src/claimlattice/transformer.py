@@ -31,18 +31,7 @@ from .state import (
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ClaimPolicy", "ClaimUpdate", "StepReport", "process_node"]
-
-DEFAULT_CLAIM_CAP = 16
-
-
-@dataclass(frozen=True)
-class ClaimPolicy:
-    """How many claims one node may ever hold, and what to do past the cap.
-    The only overflow behavior is dropping the newcomer and logging it."""
-
-    cap: int = DEFAULT_CLAIM_CAP
-    overflow: str = "discard_new"
+__all__ = ["ClaimUpdate", "StepReport", "process_node"]
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ def process_node(
     goal: str,
     queries: Mapping[str, QuerySpec],
     backend: AgentBackend,
-    policy: ClaimPolicy,
+    claim_cap: int,
     epoch: int = 1,
     step: int = 0,
     excerpt_cap: int = 8,
@@ -177,10 +166,10 @@ def process_node(
             if key in working.nodes[node].entries:
                 skipped.append(key)
                 continue
-            if len(working.nodes[node].entries) >= policy.cap:
+            if len(working.nodes[node].entries) >= claim_cap:
                 discarded.append(text)
                 log.info("claim cap %d reached at %s; discarding %r",
-                         policy.cap, node, text)
+                         claim_cap, node, text)
                 continue
             claim = Claim(
                 key=key,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import assessment as asmt
 from .agent import AgentBackend
@@ -25,21 +25,19 @@ from .graph import EvaluationGraph, extended_predecessors, extended_successors
 from .queries import QuerySpec
 from .state import AnalysisState, assessment_projection
 from .trace import ColumnRegistry, JoinRecord, RunTrace, TraceStep
-from .transformer import ClaimPolicy, process_node
+from .transformer import process_node
 
 log = logging.getLogger(__name__)
 
 __all__ = [
     "ClaimCaps",
     "TerminationBudget",
-    "BaseWorklist",
+    "Worklist",
+    "RankedWorklist",
+    "ScriptedWorklist",
     "OrderPolicy",
     "FifoPolicy",
     "LifoPolicy",
-    "WtoPolicy",
-    "GoalDirectedPolicy",
-    "FeedbackPriorityPolicy",
-    "ScriptedOrderPolicy",
     "parse_policy",
     "POLICY_NAMES",
     "weak_topological_order",
@@ -99,11 +97,19 @@ class TerminationBudget:
 
 # --- worklist structures -----------------------------------------------------
 
-class BaseWorklist:
-    """Ordered set of pending nodes. Subclasses choose what pop returns;
-    membership and deduplication are common."""
+class Worklist:
+    """Ordered set of pending nodes; membership and deduplication are common.
 
-    def __init__(self):
+    Without a ``key``, nodes pop in arrival order, or newest first when
+    ``lifo`` is set, and trace rows list them in arrival order. With
+    ``key(node, via_feedback)`` the smallest key pops first and trace rows
+    list nodes in key order.
+    """
+
+    def __init__(self, key: Callable[[str, bool], tuple] | None = None, *,
+                 lifo: bool = False):
+        self._key = key
+        self._lifo = lifo
         self._items: list[str] = []
         self._member: set[str] = set()
         self._via_feedback: set[str] = set()
@@ -124,64 +130,37 @@ class BaseWorklist:
         self._items.append(node)
         return True
 
-    def _take(self, index: int) -> str:
-        node = self._items.pop(index)
+    def _sort_key(self, node: str) -> tuple:
+        return self._key(node, node in self._via_feedback)
+
+    def _take(self, node: str) -> str:
+        self._items.remove(node)
         self._member.discard(node)
         self._via_feedback.discard(node)
         return node
 
     def pop(self) -> str:
-        raise NotImplementedError
+        if self._key is not None:
+            return self._take(min(self._items, key=self._sort_key))
+        return self._take(self._items[-1 if self._lifo else 0])
 
     def members(self) -> tuple[str, ...]:
         """Policy-eye view of the pending set, used for trace rows."""
-        return tuple(self._items)
+        if self._key is None:
+            return tuple(self._items)
+        return tuple(sorted(self._items, key=self._sort_key))
 
     def finish(self) -> None:
         """Hook called when the loop drains; policies may object."""
 
 
-class FifoWorklist(BaseWorklist):
-    def pop(self) -> str:
-        return self._take(0)
+def RankedWorklist(rank: Mapping[str, int]) -> Worklist:
+    """Pops by ``rank``; unranked nodes go last, ties go by node id."""
+    rank = dict(rank)
+    return Worklist(lambda node, _: (rank.get(node, len(rank)), node))
 
 
-class LifoWorklist(BaseWorklist):
-    def pop(self) -> str:
-        return self._take(len(self._items) - 1)
-
-
-class RankedWorklist(BaseWorklist):
-    def __init__(self, rank: Mapping[str, int]):
-        super().__init__()
-        self._rank = dict(rank)
-
-    def _key(self, node: str) -> tuple:
-        return (self._rank.get(node, len(self._rank)), node)
-
-    def pop(self) -> str:
-        best = min(range(len(self._items)), key=lambda i: self._key(self._items[i]))
-        return self._take(best)
-
-    def members(self) -> tuple[str, ...]:
-        return tuple(sorted(self._items, key=self._key))
-
-
-class FeedbackFirstWorklist(BaseWorklist):
-    """Feedback-edge arrivals outrank everything else; ties go by node id."""
-
-    def _key(self, node: str) -> tuple:
-        return (0 if node in self._via_feedback else 1, node)
-
-    def pop(self) -> str:
-        best = min(range(len(self._items)), key=lambda i: self._key(self._items[i]))
-        return self._take(best)
-
-    def members(self) -> tuple[str, ...]:
-        return tuple(sorted(self._items, key=self._key))
-
-
-class ScriptedWorklist(BaseWorklist):
+class ScriptedWorklist(Worklist):
     """Pops follow a pinned node sequence; any divergence from what the run
     actually needs is a scenario bug and says so."""
 
@@ -201,7 +180,7 @@ class ScriptedWorklist(BaseWorklist):
             raise ScenarioError(
                 f"scripted order names {node!r} at position {self._cursor}, "
                 "but it is not pending")
-        return self._take(self._items.index(node))
+        return self._take(node)
 
     def finish(self) -> None:
         if self._cursor < len(self._steps):
@@ -214,75 +193,56 @@ class ScriptedWorklist(BaseWorklist):
 # --- ordering policies -------------------------------------------------------
 
 class OrderPolicy:
-    name = "base"
-    goal_probes = False
-    goal_node: str | None = None
+    """A named worklist order: which pending node pops next.
 
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        raise NotImplementedError
+    ``steps`` parameterizes scripted-order and ``goal_node`` goal-directed,
+    which seeds only the goal node and pulls in extended predecessors lazily
+    whenever a processed node still sees nothing but bottoms upstream.
+    Subclasses may override ``build`` to supply an order of their own.
+    """
 
-    def seed_nodes(self, candidates: Sequence[str]) -> Sequence[str]:
-        return candidates
-
-
-class FifoPolicy(OrderPolicy):
-    name = "fifo"
-
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        return FifoWorklist()
-
-
-class LifoPolicy(OrderPolicy):
-    name = "lifo"
-
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        return LifoWorklist()
-
-
-class WtoPolicy(OrderPolicy):
-    name = "wto"
-
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        order = flatten_wto(weak_topological_order(graph))
-        return RankedWorklist({node: i for i, node in enumerate(order)})
-
-
-class FeedbackPriorityPolicy(OrderPolicy):
-    name = "feedback-priority"
-
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        return FeedbackFirstWorklist()
-
-
-class GoalDirectedPolicy(OrderPolicy):
-    """Start from the goal node only; pull in extended predecessors lazily
-    whenever a processed node still sees nothing but bottoms upstream."""
-
-    name = "goal-directed"
-    goal_probes = True
-
-    def __init__(self, goal_node: str):
+    def __init__(self, name: str = "fifo", *, steps: Sequence[str] = (),
+                 goal_node: str | None = None):
+        self.name = name
+        self.steps = tuple(steps)
         self.goal_node = goal_node
 
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        return FifoWorklist()
+    @property
+    def goal_probes(self) -> bool:
+        return self.name == "goal-directed"
+
+    def build(self, graph: EvaluationGraph) -> Worklist:
+        return _BUILDERS[self.name](self, graph)
 
     def seed_nodes(self, candidates: Sequence[str]) -> Sequence[str]:
-        return [self.goal_node]
+        return [self.goal_node] if self.goal_probes else candidates
 
 
-class ScriptedOrderPolicy(OrderPolicy):
-    name = "scripted-order"
-
-    def __init__(self, steps: Sequence[str]):
-        self.steps = tuple(steps)
-
-    def build(self, graph: EvaluationGraph) -> BaseWorklist:
-        return ScriptedWorklist(self.steps)
+def FifoPolicy() -> OrderPolicy:
+    return OrderPolicy("fifo")
 
 
-POLICY_NAMES = ("fifo", "lifo", "wto", "goal-directed", "feedback-priority",
-                "scripted-order")
+def LifoPolicy() -> OrderPolicy:
+    return OrderPolicy("lifo")
+
+
+def _wto_worklist(policy: OrderPolicy, graph: EvaluationGraph) -> Worklist:
+    order = flatten_wto(weak_topological_order(graph))
+    return RankedWorklist({node: i for i, node in enumerate(order)})
+
+
+_BUILDERS: dict[str, Callable[[OrderPolicy, EvaluationGraph], Worklist]] = {
+    "fifo": lambda policy, graph: Worklist(),
+    "lifo": lambda policy, graph: Worklist(lifo=True),
+    "wto": _wto_worklist,
+    "goal-directed": lambda policy, graph: Worklist(),
+    # Feedback-edge arrivals outrank everything else; ties go by node id.
+    "feedback-priority": lambda policy, graph: Worklist(
+        lambda node, via_feedback: (not via_feedback, node)),
+    "scripted-order": lambda policy, graph: ScriptedWorklist(policy.steps),
+}
+
+POLICY_NAMES = tuple(_BUILDERS)
 
 
 def parse_policy(
@@ -291,23 +251,13 @@ def parse_policy(
     steps: Sequence[str] | None = None,
     goal_node: str | None = None,
 ) -> OrderPolicy:
-    if name == "fifo":
-        return FifoPolicy()
-    if name == "lifo":
-        return LifoPolicy()
-    if name == "wto":
-        return WtoPolicy()
-    if name == "feedback-priority":
-        return FeedbackPriorityPolicy()
-    if name == "goal-directed":
-        if not goal_node:
-            raise ValueError("goal-directed ordering needs a goal node")
-        return GoalDirectedPolicy(goal_node)
-    if name == "scripted-order":
-        if not steps:
-            raise ValueError("scripted-order needs an explicit step list")
-        return ScriptedOrderPolicy(steps)
-    raise ValueError(f"unknown worklist policy {name!r}")
+    if name not in _BUILDERS:
+        raise ValueError(f"unknown worklist policy {name!r}")
+    if name == "goal-directed" and not goal_node:
+        raise ValueError("goal-directed ordering needs a goal node")
+    if name == "scripted-order" and not steps:
+        raise ValueError("scripted-order needs an explicit step list")
+    return OrderPolicy(name, steps=steps or (), goal_node=goal_node)
 
 
 # --- weak topological order --------------------------------------------------
@@ -438,8 +388,6 @@ def run(
     epoch: int = 1,
     seeds: Sequence[str] | None = None,
     columns: ColumnRegistry | None = None,
-    init_action: str = "init",
-    extra_trigger_allowance: int = 0,
     mid_run=None,
     check_invariants: bool = True,
 ) -> RunResult:
@@ -447,11 +395,12 @@ def run(
 
     ``seeds`` overrides the computed initial worklist (used when an epoch
     resumes after revision); ``columns`` carries the claim-column order
-    across epochs. ``extra_trigger_allowance`` widens the trigger budget for
-    re-raises a mid-run revision legitimately re-enables. ``mid_run`` is an
-    optional hook with an ``after_step(state, step_index, epoch)`` method; it
-    may return (new_state, nodes_to_enqueue, trigger_allowance_delta) to
-    apply an in-flight revision between steps.
+    across epochs. Epochs after the first open with a "revision" row instead
+    of "init". ``mid_run`` is an optional hook with an
+    ``after_step(state, step_index, epoch)`` method; it may return
+    (new_state, nodes_to_enqueue, trigger_allowance_delta) to apply an
+    in-flight revision between steps, and the delta widens the trigger
+    budget by the re-raises that revision legitimately re-enables.
     """
     order = list(declared_order) if declared_order is not None else sorted(
         graph.all_nodes)
@@ -473,7 +422,7 @@ def run(
         index=0,
         epoch=epoch,
         node=None,
-        action=init_action,
+        action="init" if epoch == 1 else "revision",
         assessments=_column_snapshot(columns, state),
         joins=(),
         worklist_after=worklist.members(),
@@ -483,7 +432,7 @@ def run(
 
     steps_done = 0
     trigger_events = 0
-    trigger_budget = budget.max_trigger_events + extra_trigger_allowance
+    trigger_budget = budget.max_trigger_events
 
     while len(worklist):
         if steps_done >= budget.hard_step_cap:
@@ -497,7 +446,7 @@ def run(
             goal=goal,
             queries=queries,
             backend=backend,
-            policy=ClaimPolicy(cap=caps.cap_for(node)),
+            claim_cap=caps.cap_for(node),
             epoch=epoch,
             step=steps_done + 1,
             excerpt_cap=excerpt_cap,
@@ -549,9 +498,8 @@ def run(
                 all_bottom = all(
                     entry.assessment == asmt.bottom(state.kind)
                     for entry in table.values())
-                if has_work and all_bottom and pred not in worklist:
-                    if worklist.push(pred):
-                        enqueued.append((pred, "goal_probe"))
+                if has_work and all_bottom and worklist.push(pred):
+                    enqueued.append((pred, "goal_probe"))
 
         for update in report.updates:
             if update.inserted:

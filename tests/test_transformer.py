@@ -21,7 +21,7 @@ from claimlattice.state import (
     canonicalize_claim,
     initial_state,
 )
-from claimlattice.transformer import ClaimPolicy, process_node
+from claimlattice.transformer import process_node
 
 from conftest import chain_graph, plain_queries, seeded_claim
 
@@ -98,7 +98,7 @@ def run_step(graph, state, node, backend, queries=None, cap=16, **kw):
         goal="the goal",
         queries=queries or plain_queries(graph),
         backend=backend,
-        policy=ClaimPolicy(cap=cap),
+        claim_cap=cap,
         **kw,
     )
 

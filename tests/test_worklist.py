@@ -19,16 +19,11 @@ from claimlattice.state import initial_state, insert_claim
 from claimlattice.transformer import StepReport
 from claimlattice.worklist import (
     ClaimCaps,
-    FeedbackFirstWorklist,
     FifoPolicy,
-    FifoWorklist,
-    GoalDirectedPolicy,
-    LifoWorklist,
     RankedWorklist,
-    ScriptedOrderPolicy,
     ScriptedWorklist,
     TerminationBudget,
-    WtoPolicy,
+    Worklist,
     flatten_wto,
     initial_worklist,
     parse_policy,
@@ -94,7 +89,7 @@ def test_budget_respects_explicit_step_cap():
 # --- worklist structures ----------------------------------------------------
 
 def test_push_deduplicates():
-    q = FifoWorklist()
+    q = Worklist()
     assert q.push("a")
     assert not q.push("a")
     assert q.members() == ("a",)
@@ -102,8 +97,8 @@ def test_push_deduplicates():
 
 
 def test_fifo_and_lifo_order():
-    fifo = FifoWorklist()
-    lifo = LifoWorklist()
+    fifo = Worklist()
+    lifo = Worklist(lifo=True)
     for node in ("a", "b", "c"):
         fifo.push(node)
         lifo.push(node)
@@ -120,7 +115,7 @@ def test_ranked_pops_by_rank_then_id():
 
 
 def test_feedback_first_prioritizes_feedback_arrivals():
-    q = FeedbackFirstWorklist()
+    q = parse_policy("feedback-priority").build(chain_graph("w", "x", "y"))
     q.push("x")
     q.push("y", feedback=True)
     q.push("w")
@@ -334,7 +329,7 @@ def test_run_goal_directed_pulls_predecessors(two_node):
         ScriptEntry("m", cm.key, 0, EvalScript(graded(W, BOT))),
         ScriptEntry("n", cn.key, 1, EvalScript(graded(BOT, W))),
     ])
-    result = engine_run(graph, state, agent, policy=GoalDirectedPolicy("n"))
+    result = engine_run(graph, state, agent, policy=parse_policy("goal-directed", goal_node="n"))
     assert result.trace.steps[0].enqueued == (("n", "seed"),)
     assert [s.node for s in result.trace.steps[1:]] == ["n", "m", "n"]
     assert ("m", "goal_probe") in result.trace.steps[1].enqueued
@@ -350,7 +345,7 @@ def test_run_scripted_order_divergence_raises(two_node):
     ])
     with pytest.raises(ScenarioError):
         engine_run(graph, state, agent,
-                   policy=ScriptedOrderPolicy(["m", "m", "n"]))
+                   policy=parse_policy("scripted-order", steps=["m", "m", "n"]))
 
 
 def test_run_wto_policy_orders_chain():
@@ -361,7 +356,7 @@ def test_run_wto_policy_orders_chain():
         ScriptEntry(n, c.key, None, EvalScript(graded(W, BOT)))
         for n, c in zip(("c", "a", "b"), claims)
     ])
-    result = engine_run(graph, state, agent, policy=WtoPolicy())
+    result = engine_run(graph, state, agent, policy=parse_policy("wto"))
     # Chain order, not node-id order: c before a before b, no rework.
     assert [s.node for s in result.trace.steps[1:]] == ["c", "a", "b"]
     assert result.steps == 3
