@@ -433,6 +433,7 @@ def run(
     steps_done = 0
     trigger_events = 0
     trigger_budget = budget.max_trigger_events
+    probed: set[str] = set()
 
     while len(worklist):
         if steps_done >= budget.hard_step_cap:
@@ -491,6 +492,9 @@ def run(
         if policy.goal_probes:
             # Lazy upstream expansion: pull in predecessors that have never
             # produced anything, so the goal's support gets built on demand.
+            # Each predecessor is probed at most once per epoch; later visits
+            # come from its own changes, so probes are bounded by the node
+            # count even though they are not trigger events.
             for pred in sorted(extended_predecessors(graph, node)):
                 table = state.nodes[pred].entries
                 spec = queries.get(pred)
@@ -498,7 +502,9 @@ def run(
                 all_bottom = all(
                     entry.assessment == asmt.bottom(state.kind)
                     for entry in table.values())
-                if has_work and all_bottom and worklist.push(pred):
+                if (has_work and all_bottom and pred not in probed
+                        and worklist.push(pred)):
+                    probed.add(pred)
                     enqueued.append((pred, "goal_probe"))
 
         for update in report.updates:

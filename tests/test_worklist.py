@@ -32,7 +32,7 @@ from claimlattice.worklist import (
 )
 
 from conftest import GOLDEN, chain_graph, plain_queries, seeded_claim
-from genutil import random_graph
+from genutil import generate_scenario, random_graph
 
 W = asmt.Strength.WEAK
 S = asmt.Strength.STRONG
@@ -415,3 +415,27 @@ def test_run_seed_override(two_node):
     assert [s.node for s in result.trace.steps[1:]] == ["n"]
     # m was never processed and keeps its bottom.
     assert result.state.nodes["m"].entries[cm.key].assessment == graded(BOT, BOT)
+
+
+def test_goal_directed_generated_runs_stabilize():
+    # Goal probes are not trigger events, so only the once-per-epoch probe
+    # rule keeps two all-bottom neighbours from re-probing each other forever
+    # (seeds 6, 129 and 130 did until that rule).
+    for seed in range(200):
+        gen = generate_scenario(seed, visit_sensitive=True)
+        goal_node = gen.declared_order[-1]
+        result = run(
+            gen.graph, gen.fresh_state(),
+            goal="the goal",
+            queries=gen.queries,
+            backend=gen.fresh_backend(),
+            caps=gen.caps,
+            policy=parse_policy("goal-directed", goal_node=goal_node),
+            budget=TerminationBudget.for_run(gen.kind, gen.caps,
+                                             sorted(gen.graph.all_nodes)),
+            declared_order=gen.declared_order,
+        )
+        assert result.trace.steps[-1].worklist_after == ()
+        probes = [target for step in result.trace.steps
+                  for target, cause in step.enqueued if cause == "goal_probe"]
+        assert len(probes) == len(set(probes))
