@@ -13,9 +13,12 @@ against that derivation and replaced by it when they disagree.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import os
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence, Union
 
@@ -361,30 +364,34 @@ class RemoteAgent:
         return visit
 
     def _post(self, payload: dict) -> bytes:
-        import requests
-
         headers = {"Content-Type": "application/json"}
         if self.token:
             headers["Authorization"] = f"Bearer {self.token}"
         try:
-            response = requests.post(self.endpoint, json=payload,
-                                     headers=headers, timeout=self.timeout)
-        except requests.Timeout:
-            raise MalformedResponse(
-                f"remote agent timed out after {self.timeout}s") from None
-        except requests.ConnectionError as exc:
+            request = urllib.request.Request(
+                self.endpoint, data=json.dumps(payload).encode("utf-8"),
+                headers=headers, method="POST")
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                status, body = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, body = exc.code, exc.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            # A timeout surfaces bare or wrapped in URLError, depending on
+            # whether it hit while connecting or while awaiting the reply.
+            if isinstance(getattr(exc, "reason", exc), TimeoutError):
+                raise MalformedResponse(
+                    f"remote agent timed out after {self.timeout}s") from None
             raise AgentTransportError(
                 f"cannot reach remote agent at {self.endpoint}: {exc}") from None
-        body = response.content
         if self.audit_sink is not None:
             self.audit_sink.append({
                 "request": payload,
-                "status": response.status_code,
+                "status": status,
                 "response": body.decode("utf-8", errors="replace"),
             })
-        if response.status_code != 200:
-            raise MalformedResponse(
-                f"remote agent answered HTTP {response.status_code}")
+        if status != 200:
+            raise MalformedResponse(f"remote agent answered HTTP {status}")
         return body
 
     def evaluate_claim(self, ctx: PromptContext, query: EvalQuery,

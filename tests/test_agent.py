@@ -2,6 +2,7 @@
 
 import json
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -41,6 +42,12 @@ def seed(polarity=Polarity.SUPPORT, strength=W,
          basis=asmt.ConfidenceBasis.LOCATED, excerpt="saw it", ref=None):
     return EvidenceSeed(polarity=polarity, strength=strength, basis=basis,
                         source_kind=SourceKind.DOC, excerpt=excerpt, ref=ref)
+
+
+@pytest.fixture(autouse=True)
+def no_requests(monkeypatch):
+    """The runtime has no third-party dependency: importing requests fails."""
+    monkeypatch.setitem(sys.modules, "requests", None)
 
 
 # --- scripted backend ----------------------------------------------------

@@ -141,3 +141,15 @@ def test_remote_agent_without_endpoint_is_transport_failure():
                    drop_env=("AGENT_ENDPOINT",))
     assert proc.returncode == 3
     assert "agent transport failure" in proc.stderr
+
+
+def test_remote_endpoint_without_scheme_is_transport_failure(monkeypatch,
+                                                             capsys):
+    from claimlattice.cli import main
+    monkeypatch.setenv("AGENT_ENDPOINT", "localhost:9")
+    code = main(["run", str(GOLDEN), "--agent", "remote"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("agent transport failure: ")
