@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import assessment as asmt
-from .agent import AgentBackend, AgentEvalResult
+from .agent import AgentBackend
 from .errors import MalformedResponse, UnknownNode
 from .graph import EvaluationGraph
 from .queries import QuerySpec, build_context
@@ -106,12 +106,21 @@ def process_node(
     diagnostics: list[str] = []
     action: str | None = None
 
-    def apply_eval(claim: Claim, result: AgentEvalResult, inserted: bool):
+    def evaluate(claim: Claim, inserted: bool) -> None:
+        """Ask for one claim's assessment against the step's context and
+        join it in; a failed or wrong-domain answer leaves a diagnostic."""
         nonlocal working, action
-        if asmt.kind_of(result.assessment) is not state.kind:
-            raise MalformedResponse(
-                f"agent answered in the {asmt.kind_of(result.assessment).value} "
-                f"domain, run is {state.kind.value}")
+        what = f"eval {node}/{claim.label}"
+        result = _call_with_retry(
+            lambda: backend.evaluate_claim(ctx, spec.eval, claim),
+            diagnostics, what, agent_retries)
+        if result is None:
+            return
+        answered = asmt.kind_of(result.assessment)
+        if answered is not state.kind:
+            diagnostics.append(f"{what}: agent answered in the {answered.value} "
+                               f"domain, run is {state.kind.value}")
+            return
         old = working.nodes[node].entries[claim.key].assessment
         working, records = mint_evidence(
             working, node, claim.key, result.evidence, epoch=epoch, step=step)
@@ -133,16 +142,7 @@ def process_node(
 
     # Existing claims first, in insertion order, all against the one context.
     for entry in list(state.nodes[node].entries.values()):
-        claim = entry.claim
-        result = _call_with_retry(
-            lambda: backend.evaluate_claim(ctx, spec.eval, claim),
-            diagnostics, f"eval {node}/{claim.label}", agent_retries)
-        if result is None:
-            continue
-        try:
-            apply_eval(claim, result, inserted=False)
-        except MalformedResponse as exc:
-            diagnostics.append(f"eval {node}/{claim.label}: {exc}")
+        evaluate(entry.claim, inserted=False)
 
     # Generation: canonicalize, skip duplicates silently, discard past cap.
     generated: list[str] = []
@@ -179,21 +179,13 @@ def process_node(
                 label=f"g{working.claim_seq}@{node}",
             )
             working = insert_claim(working, node, claim)
-            working = _bump_claim_seq(working)
+            working = replace(working, claim_seq=working.claim_seq + 1)
             new_claims.append(claim)
             generated.append(claim.label)
 
     # Newly inserted claims are evaluated in the same step, same context.
     for claim in new_claims:
-        result = _call_with_retry(
-            lambda: backend.evaluate_claim(ctx, spec.eval, claim),
-            diagnostics, f"eval {node}/{claim.label}", agent_retries)
-        if result is None:
-            continue
-        try:
-            apply_eval(claim, result, inserted=True)
-        except MalformedResponse as exc:
-            diagnostics.append(f"eval {node}/{claim.label}: {exc}")
+        evaluate(claim, inserted=True)
 
     before_view = assessment_projection(state.nodes[node])
     after_view = assessment_projection(working.nodes[node])
@@ -220,7 +212,3 @@ def process_node(
         evidence_only_change=evidence_only,
     )
     return working, report
-
-
-def _bump_claim_seq(state: AnalysisState) -> AnalysisState:
-    return replace(state, claim_seq=state.claim_seq + 1)
