@@ -258,7 +258,7 @@ def decode_remote(body: bytes | str, kind: asmt.DomainKind
     """
     try:
         data = json.loads(body)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
         raise MalformedResponse(f"reply is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise MalformedResponse("reply must be a JSON object")

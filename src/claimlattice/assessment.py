@@ -35,13 +35,11 @@ __all__ = [
     "StratifiedPolarity",
     "StratifiedValue",
     "Assessment",
-    "DomainDescriptor",
     "kind_of",
     "join",
     "leq",
     "bottom",
     "domain_height",
-    "describe_domain",
     "enumerate_domain",
     "summarize_polarity",
     "presence_to_graded",
@@ -64,10 +62,9 @@ class Strength(IntEnum):
 
     @classmethod
     def from_token(cls, token: str) -> "Strength":
-        try:
+        if isinstance(token, str) and token in _STRENGTH_BY_TOKEN:
             return _STRENGTH_BY_TOKEN[token]
-        except KeyError:
-            raise ValueError(f"unknown strength token {token!r}") from None
+        raise ValueError(f"unknown strength token {token!r}")
 
 
 _STRENGTH_TOKENS = {Strength.BOT: "bot", Strength.WEAK: "w", Strength.STRONG: "s"}
@@ -97,10 +94,9 @@ class ConfidenceBasis(IntEnum):
 
     @classmethod
     def from_token(cls, token: str) -> "ConfidenceBasis":
-        try:
+        if isinstance(token, str) and token.upper() in cls.__members__:
             return cls[token.upper()]
-        except KeyError:
-            raise ValueError(f"unknown confidence basis {token!r}") from None
+        raise ValueError(f"unknown confidence basis {token!r}")
 
 
 BASES: tuple[ConfidenceBasis, ...] = tuple(ConfidenceBasis)
@@ -313,16 +309,6 @@ def _measure(value: Assessment) -> int:
     if isinstance(value, GradedValue):
         return int(value.support) + int(value.refute)
     return sum(value.support.levels) + sum(value.refute.levels)
-
-
-@dataclass(frozen=True)
-class DomainDescriptor:
-    kind: DomainKind
-    height: int
-
-
-def describe_domain(kind: DomainKind) -> DomainDescriptor:
-    return DomainDescriptor(kind=kind, height=domain_height(kind))
 
 
 # --- serialization -----------------------------------------------------------

@@ -82,7 +82,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from None
     try:
         data = json.loads(text)
@@ -264,6 +264,9 @@ def _parse_queries(raw: Any, graph: EvaluationGraph,
         if not isinstance(template, str):
             check.fail(f"{where}.template must be a string")
             return None
+        if not isinstance(qid, str):
+            check.fail(f"{where}.id must be a string")
+            return None
         if not isinstance(bilateral, bool):
             check.fail(f"{where}.bilateral must be a boolean")
             return None
@@ -398,7 +401,7 @@ def _parse_script(raw: Any, graph: EvaluationGraph, kind: asmt.DomainKind,
             gen_id = item.get("gen")
             spec = queries.get(node)
             known = {q.id for q in spec.gen} if spec else set()
-            if gen_id not in known:
+            if not isinstance(gen_id, str) or gen_id not in known:
                 check.fail(f"{where}: dangling gen reference {gen_id!r} at "
                            f"{node!r}")
                 continue
@@ -441,9 +444,13 @@ def _parse_script(raw: Any, graph: EvaluationGraph, kind: asmt.DomainKind,
                 check.fail(f"{where}: eval entries need an assessment in the "
                            f"{kind.value} domain")
                 continue
+            evidence_raw = item.get("evidence", [])
+            if not isinstance(evidence_raw, list):
+                check.fail(f"{where}: evidence must be a list")
+                continue
             seeds = []
             bad = False
-            for j, seed_raw in enumerate(item.get("evidence", [])):
+            for j, seed_raw in enumerate(evidence_raw):
                 seed = _parse_seed(seed_raw, f"{where}.evidence[{j}]", check)
                 if seed is None:
                     bad = True
@@ -622,12 +629,16 @@ def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
     if not isinstance(caps_raw, dict):
         check.fail("caps must be an object")
         caps_raw = {}
-    default_cap = caps_raw.get("default", 16)
+    default_cap = caps_raw.get("default", ClaimCaps().default)
     if not isinstance(default_cap, int) or default_cap < 1:
         check.fail("caps.default must be a positive integer")
-        default_cap = 16
+        default_cap = ClaimCaps().default
+    per_node_raw = caps_raw.get("per_node", {})
+    if not isinstance(per_node_raw, dict):
+        check.fail("caps.per_node must be an object")
+        per_node_raw = {}
     per_node_caps = {}
-    for node, value in caps_raw.get("per_node", {}).items():
+    for node, value in per_node_raw.items():
         if node not in graph.all_nodes:
             check.fail(f"caps.per_node: unknown node {node!r}")
             continue
@@ -664,7 +675,8 @@ def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
                 for s in steps:
                     if s not in graph.all_nodes:
                         check.fail(f"policy.steps names unknown node {s!r}")
-        if goal_node is not None and goal_node not in graph.all_nodes:
+        if goal_node is not None and (not isinstance(goal_node, str)
+                                      or goal_node not in graph.all_nodes):
             check.fail(f"policy.goal_node {goal_node!r} is not in the graph")
         try:
             policy = parse_policy(policy_kind, steps=steps, goal_node=goal_node)

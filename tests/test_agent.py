@@ -8,6 +8,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from claimlattice import assessment as asmt
 from claimlattice.agent import (
@@ -226,6 +228,8 @@ def test_decode_rejects_bad_json():
         decode_remote(b"{not json", asmt.DomainKind.GRADED)
     with pytest.raises(MalformedResponse):
         decode_remote(b"[1, 2]", asmt.DomainKind.GRADED)
+    with pytest.raises(MalformedResponse):  # not UTF-8
+        decode_remote(b'{"rationale": "\xff"}', asmt.DomainKind.GRADED)
 
 
 def test_decode_bad_strength_names_field():
@@ -406,3 +410,47 @@ def test_remote_requires_some_endpoint(monkeypatch):
     monkeypatch.delenv("AGENT_ENDPOINT", raising=False)
     with pytest.raises(AgentTransportError):
         RemoteAgent(asmt.DomainKind.GRADED)
+
+
+# --- fuzzing: no reply escapes the malformed-reply path --------------------
+
+_TOKENS = {
+    "polarity": ["support", "refute"],
+    "strength": ["bot", "w", "s"],
+    "basis": ["model", "located", "applicable", "corroborated", "checked"],
+    "source_kind": ["doc", "code_observation"],
+    "excerpt": ["seen"],
+    "ref": ["r1"],
+}
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["bot", "w", "s", "support"]),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_EVIDENCE_RECORD = st.fixed_dictionaries({}, optional={
+    name: st.sampled_from(tokens) | _ANY_JSON
+    for name, tokens in _TOKENS.items()})
+_REPLY = st.fixed_dictionaries({}, optional={
+    "assessment": _ANY_JSON,
+    "evidence": st.lists(_EVIDENCE_RECORD | _ANY_JSON, max_size=3) | _ANY_JSON,
+    "claims": st.lists(st.text(max_size=4), max_size=2) | _ANY_JSON,
+    "rationale": st.text(max_size=4) | _ANY_JSON,
+})
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(body=_REPLY | _ANY_JSON, kind=st.sampled_from(list(asmt.DomainKind)))
+@example(body={"assessment": [[], "s"]}, kind=asmt.DomainKind.GRADED)
+@example(body={"evidence": [{"polarity": "support", "strength": "w",
+                             "basis": None, "source_kind": "doc",
+                             "excerpt": "seen"}]},
+         kind=asmt.DomainKind.STRATIFIED)
+def test_decode_any_json_returns_or_is_malformed(body, kind):
+    try:
+        result = decode_remote(json.dumps(body), kind)
+    except MalformedResponse:
+        return
+    assert isinstance(result, (AgentEvalResult, AgentGenResult))
+

@@ -168,11 +168,6 @@ def test_height_literals():
     assert asmt.domain_height(DomainKind.STRATIFIED) == 20
 
 
-def test_describe_domain_carries_height():
-    d = asmt.describe_domain(DomainKind.GRADED)
-    assert (d.kind, d.height) == (DomainKind.GRADED, 4)
-
-
 # --- antitone structure -------------------------------------------------------
 
 def test_non_antitone_polarity_rejected():

@@ -4,6 +4,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimlattice import assessment as asmt
 from claimlattice.agent import ScriptedAgent
@@ -102,6 +104,9 @@ def test_missing_file_is_parse_error(tmp_path):
 def test_bad_json_is_parse_error(tmp_path):
     bad = tmp_path / "bad.scenario"
     bad.write_text("{not json", encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_scenario(bad)
+    bad.write_bytes(b'{"goal": "\xff"}')  # not UTF-8
     with pytest.raises(ParseError):
         load_scenario(bad)
 
@@ -293,6 +298,14 @@ def test_queries_validation():
                    "max_claims")
 
 
+def test_eval_query_ids_must_be_strings():
+    data = base_data()
+    data["queries"] = {"default_eval": {"id": 3},
+                       "per_node": {"m": {"id": ["eval"]}}}
+    assert_flagged(data, "queries.default_eval.id must be a string",
+                   "queries.per_node['m'].id must be a string")
+
+
 def test_gen_duplicate_id_rejected():
     data = base_data()
     data["queries"] = {"gen": [
@@ -441,3 +454,95 @@ def test_scenario_files_round_trip_as_json():
             data = json.load(handle)
         reparsed = parse_scenario(copy.deepcopy(data))
         assert reparsed.goal == data["goal"]
+
+
+# --- fuzzing: no input makes the loader crash ----------------------------------
+
+SHIPPED = {path: json.loads(open(path, encoding="utf-8").read())
+           for path in (GOLDEN, GOLDEN_REVISION)}
+
+# Optional fields the shipped files leave out; missing parents are created.
+OPTIONAL_FIELDS = (
+    ("caps", "per_node"),
+    ("caps", "per_node", "n_1"),
+    ("policy", "goal_node"),
+    ("policy", "steps"),
+    ("queries",),
+    ("queries", "default_eval"),
+    ("queries", "default_eval", "id"),
+    ("queries", "default_eval", "template"),
+    ("queries", "per_node"),
+    ("queries", "per_node", "n_1", "id"),
+    ("queries", "gen"),
+    ("queries", "gen", 0),
+    ("claims", 0, "assessment"),
+    ("agent", "script", 0, "gen"),
+    ("budget", "hard_step_cap"),
+    ("context", "excerpt_cap"),
+    ("agent", "endpoint"),
+    ("agent", "timeout"),
+    ("agent", "retries"),
+    ("revision", "limits"),
+    ("revision", "limits", "downward"),
+    ("revision", "bounded_moves"),
+    ("revision", "bounded_moves", 0),
+    ("revision", "plans", "1", "retractions"),
+)
+
+
+def _all_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _all_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _all_paths(value, prefix + (index,))
+
+
+def _mutation_targets(doc):
+    """Concrete paths grouped by shape (list indices folded), so every field
+    kind is drawn equally often however many script entries repeat it."""
+    groups: dict[tuple, list[tuple]] = {}
+    for path in list(_all_paths(doc))[1:]:
+        shape = tuple("*" if isinstance(p, int) else p for p in path)
+        groups.setdefault(shape, []).append(path)
+    for path in OPTIONAL_FIELDS:
+        groups.setdefault(path, [path])
+    return [groups[shape] for shape in sorted(groups, key=repr)]
+
+
+def _set_path(doc, path, value):
+    for step in path[:-1]:
+        if isinstance(doc, dict):
+            doc = doc.setdefault(step, {} if isinstance(step, str) else [])
+        else:
+            doc = doc[step]
+    if isinstance(doc, list) and path[-1] >= len(doc):
+        doc.append(value)
+    else:
+        doc[path[-1]] = value
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["n_1", "c_P", "w", "bot", "*"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_single_value_mutation_loads_or_reports(data):
+    name = data.draw(st.sampled_from(sorted(SHIPPED)))
+    doc = copy.deepcopy(SHIPPED[name])
+    path = data.draw(st.sampled_from(
+        data.draw(st.sampled_from(_mutation_targets(doc)))))
+    _set_path(doc, path, data.draw(JSON_VALUES))
+    try:
+        parse_scenario(doc)
+    except (ValidationError, ParseError):
+        pass
