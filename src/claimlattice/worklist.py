@@ -133,16 +133,17 @@ class Worklist:
     def _sort_key(self, node: str) -> tuple:
         return self._key(node, node in self._via_feedback)
 
-    def _take(self, node: str) -> str:
-        self._items.remove(node)
+    def _take(self, index: int) -> str:
+        node = self._items.pop(index)
         self._member.discard(node)
         self._via_feedback.discard(node)
         return node
 
     def pop(self) -> str:
-        if self._key is not None:
-            return self._take(min(self._items, key=self._sort_key))
-        return self._take(self._items[-1 if self._lifo else 0])
+        if self._key is None:
+            return self._take(-1 if self._lifo else 0)
+        return self._take(min(range(len(self._items)),
+                              key=lambda i: self._sort_key(self._items[i])))
 
     def members(self) -> tuple[str, ...]:
         """Policy-eye view of the pending set, used for trace rows."""
@@ -180,7 +181,7 @@ class ScriptedWorklist(Worklist):
             raise ScenarioError(
                 f"scripted order names {node!r} at position {self._cursor}, "
                 "but it is not pending")
-        return self._take(node)
+        return self._take(self._items.index(node))
 
     def finish(self) -> None:
         if self._cursor < len(self._steps):

@@ -4,12 +4,11 @@ Each entry is a short sha256 over what one run writes. Generated runs hash
 the rendered table, the JSON trace and the evidence log; runs through
 ``cli.execute`` hash every epoch's trace, the evidence log, the revision log
 and the status. A run that raises is recorded as its exception type and
-message. Goal-directed ordering is left out on purpose: its probe schedule
-is allowed to change.
+message. Goal-directed ordering is left out: its traces follow the probe
+rule, which ``test_worklist`` checks on its own.
 
-The fixture was recorded before the engine's worklist, revision and
-transformer layers were collapsed. Rewrite it only for an intended change in
-behaviour, with ``PYTHONPATH=src python tests/test_differential.py``.
+Rewrite the fixture only for an intended change in behaviour, with
+``PYTHONPATH=src python tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import sys
 from pathlib import Path
 
 from claimlattice.cli import execute
@@ -27,8 +25,7 @@ from claimlattice.state import canonicalize_claim, export_evidence_log
 from claimlattice.trace import render_table, to_json_lines
 from claimlattice.worklist import TerminationBudget, parse_policy, run
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from genutil import generate_scenario  # noqa: E402
+from genutil import generate_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).resolve().parent / "differential_hashes.json"
