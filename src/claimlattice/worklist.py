@@ -33,8 +33,6 @@ __all__ = [
     "ClaimCaps",
     "TerminationBudget",
     "Worklist",
-    "RankedWorklist",
-    "ScriptedWorklist",
     "OrderPolicy",
     "FifoPolicy",
     "LifoPolicy",

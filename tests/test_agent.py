@@ -453,4 +453,3 @@ def test_decode_any_json_returns_or_is_malformed(body, kind):
     except MalformedResponse:
         return
     assert isinstance(result, (AgentEvalResult, AgentGenResult))
-

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -458,7 +459,7 @@ def test_scenario_files_round_trip_as_json():
 
 # --- fuzzing: no input makes the loader crash ----------------------------------
 
-SHIPPED = {path: json.loads(open(path, encoding="utf-8").read())
+SHIPPED = {path: json.loads(Path(path).read_text(encoding="utf-8"))
            for path in (GOLDEN, GOLDEN_REVISION)}
 
 # Optional fields the shipped files leave out; missing parents are created.
@@ -534,13 +535,15 @@ JSON_VALUES = st.recursive(
 )
 
 
+TARGETS = {name: _mutation_targets(doc) for name, doc in SHIPPED.items()}
+
+
 @settings(max_examples=600, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_any_single_value_mutation_loads_or_reports(data):
     name = data.draw(st.sampled_from(sorted(SHIPPED)))
     doc = copy.deepcopy(SHIPPED[name])
-    path = data.draw(st.sampled_from(
-        data.draw(st.sampled_from(_mutation_targets(doc)))))
+    path = data.draw(st.sampled_from(data.draw(st.sampled_from(TARGETS[name]))))
     _set_path(doc, path, data.draw(JSON_VALUES))
     try:
         parse_scenario(doc)
