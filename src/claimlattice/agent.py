@@ -17,7 +17,6 @@ import http.client
 import json
 import logging
 import os
-import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence, Union
@@ -330,14 +329,23 @@ def _serialize_context(ctx: PromptContext) -> dict:
     }
 
 
+# Opens http(s) URLs only and hands back every reply as it came, without
+# following redirects: urlopen would also read file:, ftp: and data: URLs.
+_OPENER = urllib.request.OpenerDirector()
+for _handler in (urllib.request.ProxyHandler(), urllib.request.UnknownHandler(),
+                 urllib.request.HTTPHandler(), urllib.request.HTTPSHandler()):
+    _OPENER.add_handler(_handler)
+
+
 class RemoteAgent:
     """HTTP JSON backend.
 
     Endpoint and bearer token come from the constructor or from the
     AGENT_ENDPOINT / AGENT_TOKEN environment variables. Network-level
     failures raise AgentTransportError; anything the server actually said
-    that fails validation raises MalformedResponse, including timeouts, so
-    the engine's no-op-and-retry path handles it.
+    that fails validation raises MalformedResponse, including timeouts and
+    any status but 200, redirects too, so the engine's no-op-and-retry path
+    handles it.
     """
 
     def __init__(
@@ -371,11 +379,8 @@ class RemoteAgent:
             request = urllib.request.Request(
                 self.endpoint, data=json.dumps(payload).encode("utf-8"),
                 headers=headers, method="POST")
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+            with _OPENER.open(request, timeout=self.timeout) as response:
                 status, body = response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                status, body = exc.code, exc.read()
         except (OSError, http.client.HTTPException, ValueError) as exc:
             # A timeout surfaces bare or wrapped in URLError, depending on
             # whether it hit while connecting or while awaiting the reply.

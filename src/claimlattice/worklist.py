@@ -200,7 +200,7 @@ class OrderPolicy:
     Subclasses may override ``build`` to supply an order of their own.
     """
 
-    def __init__(self, name: str = "fifo", *, steps: Sequence[str] = (),
+    def __init__(self, name: str, *, steps: Sequence[str] = (),
                  goal_node: str | None = None):
         self.name = name
         self.steps = tuple(steps)

@@ -300,6 +300,8 @@ class _Handler(BaseHTTPRequestHandler):
     reply: dict = {}
     status = 200
     delay = 0.0
+    body_delay = 0.0
+    headers_out: dict = {}
     requests_seen: list = []
 
     def do_POST(self):
@@ -313,7 +315,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        for name, value in self.headers_out.items():
+            self.send_header(name, value)
         self.end_headers()
+        if self.body_delay:
+            self.wfile.flush()
+            time.sleep(self.body_delay)
         self.wfile.write(body)
 
     def log_message(self, *args):  # keep pytest output clean
@@ -326,6 +333,8 @@ def http_endpoint():
     _Handler.reply = {}
     _Handler.status = 200
     _Handler.delay = 0.0
+    _Handler.body_delay = 0.0
+    _Handler.headers_out = {}
     _Handler.requests_seen = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -385,13 +394,60 @@ def test_remote_timeout_is_malformed(http_endpoint):
         agent.evaluate_claim(ctx_for(), EvalQuery(id="q"), claim)
 
 
-def test_remote_connection_refused_is_transport_error():
+def _closed_port() -> int:
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
     port = probe.getsockname()[1]
     probe.close()
+    return port
+
+
+def test_remote_error_reply_stalling_mid_body_is_malformed(http_endpoint):
+    _Handler.reply = {"error": "overloaded"}
+    _Handler.status = 500
+    _Handler.body_delay = 1.0
+    audit = []
+    agent = RemoteAgent(asmt.DomainKind.GRADED, endpoint=http_endpoint,
+                        timeout=0.2, audit_sink=audit)
+    claim = seeded_claim("m", "the claim")
+    with pytest.raises(MalformedResponse, match="timed out"):
+        agent.evaluate_claim(ctx_for(), EvalQuery(id="q"), claim)
+    assert audit == []
+
+
+def test_remote_redirect_is_audited_not_followed(http_endpoint):
+    _Handler.reply = {"moved": True}
+    _Handler.status = 302
+    _Handler.headers_out = {"Location": f"ftp://127.0.0.1:{_closed_port()}/x"}
+    audit = []
+    agent = RemoteAgent(asmt.DomainKind.GRADED, endpoint=http_endpoint,
+                        audit_sink=audit)
+    claim = seeded_claim("m", "the claim")
+    with pytest.raises(MalformedResponse, match="HTTP 302"):
+        agent.evaluate_claim(ctx_for(), EvalQuery(id="q"), claim)
+    assert [(r["status"], r["response"]) for r in audit] == [
+        (302, '{"moved": true}')]
+
+
+@pytest.mark.parametrize("scheme", ["file", "ftp", "data"])
+def test_remote_non_http_endpoint_is_transport_error(tmp_path, scheme):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("not for the audit log")
+    endpoint = {"file": secret.as_uri(),
+                "ftp": f"ftp://127.0.0.1:{_closed_port()}/secret.txt",
+                "data": "data:,not%20for%20the%20audit%20log"}[scheme]
+    audit = []
+    agent = RemoteAgent(asmt.DomainKind.GRADED, endpoint=endpoint,
+                        audit_sink=audit)
+    claim = seeded_claim("m", "the claim")
+    with pytest.raises(AgentTransportError, match="unknown url type"):
+        agent.evaluate_claim(ctx_for(), EvalQuery(id="q"), claim)
+    assert audit == []
+
+
+def test_remote_connection_refused_is_transport_error():
     agent = RemoteAgent(asmt.DomainKind.GRADED,
-                        endpoint=f"http://127.0.0.1:{port}/agent")
+                        endpoint=f"http://127.0.0.1:{_closed_port()}/agent")
     claim = seeded_claim("m", "the claim")
     with pytest.raises(AgentTransportError):
         agent.evaluate_claim(ctx_for(), EvalQuery(id="q"), claim)

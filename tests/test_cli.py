@@ -153,3 +153,21 @@ def test_remote_endpoint_without_scheme_is_transport_failure(monkeypatch,
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("agent transport failure: ")
+
+
+def test_file_endpoint_in_scenario_is_transport_failure(tmp_path, capsys):
+    from claimlattice.cli import main
+    secret = tmp_path / "secret.txt"
+    secret.write_text("not for the run's artifacts")
+    raw = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    raw["agent"]["endpoint"] = secret.as_uri()
+    scenario = tmp_path / "file_endpoint.scenario"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", str(scenario), "--agent", "remote", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("agent transport failure: ")
+    assert not (out / "requests.jsonl").exists()
