@@ -7,28 +7,47 @@ and the status. A run that raises is recorded as its exception type and
 message. Goal-directed ordering is left out: its traces follow the probe
 rule, which ``test_worklist`` checks on its own.
 
-Rewrite the fixture only for an intended change in behaviour, with
-``PYTHONPATH=src python tests/test_differential.py``.
+A second fixture pins the scenario loader. Every mutation-target shape of
+both shipped scenarios (the shapes ``test_scenario`` fuzzes, optional fields
+included) is set to each of a fixed list of JSON values. Each entry hashes
+the exact ordered diagnostics, or, when the input loads, a canonical dump of
+the ``Scenario``: sets and dicts sorted, the policy as its name, steps and
+goal node, and no ``path``.
+
+Rewrite both fixtures only for an intended change in behaviour, with
+``PYTHONPATH=src python tests/test_differential.py`` from the repository
+root.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+import enum
 import hashlib
 import json
 from pathlib import Path
+from typing import Mapping
 
 from claimlattice.cli import execute
+from claimlattice.errors import ValidationError
 from claimlattice.revision import export_revision_log
 from claimlattice.scenario import parse_scenario
 from claimlattice.state import canonicalize_claim, export_evidence_log
 from claimlattice.trace import render_table, to_json_lines
-from claimlattice.worklist import TerminationBudget, parse_policy, run
+from claimlattice.worklist import (
+    OrderPolicy,
+    TerminationBudget,
+    parse_policy,
+    run,
+)
 
 from genutil import generate_scenario
+from test_scenario import SHIPPED, TARGETS, _set_path
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).resolve().parent / "differential_hashes.json"
+LOADER_FIXTURE = Path(__file__).resolve().parent / "loader_hashes.json"
 POLICIES = ("fifo", "lifo", "wto", "feedback-priority")
 SEEDS = range(200)
 
@@ -161,6 +180,67 @@ def test_differential_fixture_unchanged():
     assert not changed, f"{len(changed)} entries moved, first: {changed[:5]}"
 
 
+# --- the scenario loader ------------------------------------------------------
+
+LOADER_VALUES = (None, True, False, -1, 0, 1, 2.5, "", "zz", "n_1", "*",
+                 [], {}, ["x"], {"k": 1})
+
+
+def _canonical(obj):
+    """A JSON-ready dump that does not depend on set or dict order."""
+    if isinstance(obj, OrderPolicy):
+        return ["OrderPolicy", obj.name, list(obj.steps), obj.goal_node]
+    if isinstance(obj, enum.Enum):
+        return f"{type(obj).__name__}.{obj.name}"
+    if dataclasses.is_dataclass(obj):
+        return [type(obj).__name__] + [
+            [f.name, _canonical(getattr(obj, f.name))]
+            for f in dataclasses.fields(obj) if f.name != "path"]
+    if isinstance(obj, Mapping):
+        return sorted(([_canonical(k), _canonical(v)] for k, v in obj.items()),
+                      key=json.dumps)
+    if isinstance(obj, (set, frozenset)):
+        return sorted((_canonical(x) for x in obj), key=json.dumps)
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(x) for x in obj]
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"no canonical form for {type(obj).__name__}")
+
+
+def _load_outcome(doc) -> str:
+    try:
+        scenario = parse_scenario(doc)
+    except ValidationError as exc:
+        return "rejects " + _digest(*exc.diagnostics)
+    except Exception as exc:  # the failure itself is the recorded behaviour
+        return f"{type(exc).__name__}: {exc}"
+    return "loads " + _digest(json.dumps(_canonical(scenario)))
+
+
+def record_loader() -> dict[str, str]:
+    entries: dict[str, str] = {}
+    for name, shipped in SHIPPED.items():
+        for group in TARGETS[name]:
+            path = group[0]
+            field_name = ".".join(str(step) for step in path)
+            for value in LOADER_VALUES:
+                doc = copy.deepcopy(shipped)
+                _set_path(doc, path, copy.deepcopy(value))
+                key = f"{Path(name).stem}/{field_name}={json.dumps(value)}"
+                entries[key] = _load_outcome(doc)
+    return entries
+
+
+def test_loader_fixture_unchanged():
+    expected = json.loads(LOADER_FIXTURE.read_text("utf-8"))
+    actual = record_loader()
+    assert sorted(actual) == sorted(expected)
+    changed = [key for key in expected if actual[key] != expected[key]]
+    assert not changed, f"{len(changed)} entries moved, first: {changed[:5]}"
+
+
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n",
-                       encoding="utf-8")
+    for path, entries in ((FIXTURE, record()), (LOADER_FIXTURE, record_loader())):
+        path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n",
+                        encoding="utf-8")
