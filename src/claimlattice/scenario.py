@@ -3,13 +3,16 @@
 A scenario carries the graph, the seeded claims, the query templates, the
 ordering policy, the agent wiring, budgets, and any revision configuration.
 Loading is all-or-nothing: every validation problem found is reported in a
-single batch, and a scenario that loads is ready to run.
+single batch, and a scenario that loads is ready to run. A list element, or
+an item of a keyed section, reports its first problem and is dropped, so its
+later fields are not checked.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -51,11 +54,11 @@ DEFAULT_EXCERPT_CAP = 8
 
 @dataclass(frozen=True)
 class AgentConfig:
-    backend: str = "scripted"  # scripted | remote
-    entries: tuple[ScriptEntry, ...] = ()
-    endpoint: str | None = None
-    timeout: float = 120.0
-    retries: int = 1
+    backend: str  # scripted | remote
+    entries: tuple[ScriptEntry, ...]
+    endpoint: str | None
+    timeout: float
+    retries: int
 
 
 @dataclass(frozen=True)
@@ -73,9 +76,9 @@ class Scenario:
     epochs: EpochConfig
     limits: RevisionLimits
     bounded_moves: tuple[BoundedMove, ...]
-    excerpt_cap: int = DEFAULT_EXCERPT_CAP
-    goal_claim: str | None = None
-    path: Path | None = None
+    excerpt_cap: int
+    goal_claim: str | None
+    path: Path | None
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -91,675 +94,534 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(data, path=path)
 
 
-class _Check:
-    """Accumulates diagnostics so one load reports every problem at once."""
-
-    def __init__(self):
-        self.diagnostics: list[str] = []
-
-    def fail(self, message: str) -> None:
-        self.diagnostics.append(message)
-
-    def require(self, condition: bool, message: str) -> bool:
-        if not condition:
-            self.fail(message)
-        return condition
+class _Reject(Exception):
+    """The first problem found in one list element or dict item, which is
+    then dropped. Raised with no message when the problem is already
+    reported."""
 
 
-def _parse_edges(raw: Any, label: str, check: _Check) -> frozenset[tuple[str, str]]:
-    edges: list[tuple[str, str]] = []
-    if not check.require(isinstance(raw, list), f"{label} must be a list"):
-        return frozenset()
-    for i, item in enumerate(raw):
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not all(isinstance(x, str) for x in item)):
-            check.fail(f"{label}[{i}] must be a [src, dst] pair of node ids")
-            continue
-        edge = (item[0], item[1])
-        if edge in edges:
-            check.fail(f"{label}[{i}] duplicates edge {edge}; parallel edges "
-                       "are not allowed")
-            continue
-        edges.append(edge)
-    return frozenset(edges)
+def _fail(message: str, diags: list[str] | None, fallback: Any) -> Any:
+    """Reject the element being parsed, or, given ``diags``, report the
+    problem and carry on with ``fallback``."""
+    if diags is None:
+        raise _Reject(message)
+    diags.append(message)
+    return fallback
 
 
-def _parse_node_list(raw: Any, label: str, check: _Check) -> list[str]:
-    if not check.require(isinstance(raw, list), f"{label} must be a list"):
-        return []
-    out: list[str] = []
-    for i, item in enumerate(raw):
-        if not isinstance(item, str) or not item:
-            check.fail(f"{label}[{i}] must be a non-empty node id")
-            continue
-        if item in out:
-            check.fail(f"{label}[{i}] repeats node {item!r}")
-            continue
-        out.append(item)
+def _collect(items, diags: list[str], parse) -> list:
+    """``parse(*item)`` for each item, dropping those it rejects."""
+    out = []
+    for item in items:
+        try:
+            out.append(parse(*item))
+        except _Reject as exc:
+            diags.extend(exc.args)
     return out
 
 
-def _parse_graph(raw: Any, check: _Check) -> tuple[EvaluationGraph, list[str]]:
-    if not isinstance(raw, dict):
-        check.fail("graph section must be an object")
-        raw = {}
+def _each(raw: Any, label: str, diags: list[str], parse) -> list:
+    """Parse each element of the list section ``label`` as
+    ``parse(where, element)``."""
+    if not isinstance(raw, list):
+        diags.append(f"{label} must be a list")
+        return []
+    return _collect(((f"{label}[{i}]", item) for i, item in enumerate(raw)),
+                    diags, parse)
+
+
+def _object(raw: Any, label: str, diags: list[str] | None = None,
+            tail: str = "") -> dict:
+    """``raw`` if it is a JSON object; an empty one stands in for a section
+    that is not."""
+    if isinstance(raw, dict):
+        return raw
+    return _fail(f"{label} must be an object{tail}", diags, {})
+
+
+def _is_number(value: Any, low: int | None = None, real: bool = False) -> bool:
+    """An integer no smaller than ``low``, or, if ``real``, a positive number."""
+    if real:
+        return isinstance(value, (int, float)) and not value <= 0
+    return isinstance(value, int) and (low is None or value >= low)
+
+
+def _number(section: dict, key: str, label: str, default: Any = None, *,
+            low: int | None = None, real: bool = False,
+            diags: list[str] | None = None) -> Any:
+    """``section[key]``, or ``default`` when absent, checked by
+    ``_is_number``."""
+    value = section.get(key, default)
+    if _is_number(value, low, real):
+        return value
+    what = "a positive number" if real else {
+        None: "an integer", 0: "a non-negative integer",
+        1: "a positive integer"}[low]
+    return _fail(f"{label} must be {what}", diags, default)
+
+
+def _string(section: dict, key: str, label: str, default: Any = None, *,
+            empty: bool = True, null: bool = False,
+            diags: list[str] | None = None) -> Any:
+    """``section[key]``, or ``default`` when absent, as a string (non-empty
+    unless ``empty``), or as None if ``null``."""
+    value = section.get(key, default)
+    if isinstance(value, str) and (empty or value) or null and value is None:
+        return value
+    return _fail(f"{label} must be a {'' if empty else 'non-empty '}string",
+                 diags, None)
+
+
+def _node(value: Any, where: str, nodes: frozenset[str]) -> str:
+    if not isinstance(value, str) or value not in nodes:
+        raise _Reject(f"{where}: unknown node {value!r}")
+    return value
+
+
+def _attempt(where: str, make, errors=ValueError):
+    """``make()``, with the message of an ``errors`` it raises as the
+    element's problem."""
+    try:
+        return make()
+    except errors as exc:
+        raise _Reject(f"{where}: {exc}") from None
+
+
+def _parse_edges(raw: Any, label: str, diags: list[str]) -> frozenset[tuple[str, str]]:
+    seen: set[tuple[str, str]] = set()
+
+    def edge(where: str, item: Any) -> tuple[str, str]:
+        if (not isinstance(item, (list, tuple)) or len(item) != 2
+                or not all(isinstance(x, str) for x in item)):
+            raise _Reject(f"{where} must be a [src, dst] pair of node ids")
+        pair = (item[0], item[1])
+        if pair in seen:
+            raise _Reject(f"{where} duplicates edge {pair}; parallel edges "
+                          "are not allowed")
+        seen.add(pair)
+        return pair
+
+    return frozenset(_each(raw, label, diags, edge))
+
+
+def _parse_node_list(raw: Any, label: str, diags: list[str]) -> list[str]:
+    seen: set[str] = set()
+
+    def node(where: str, item: Any) -> str:
+        if not isinstance(item, str) or not item:
+            raise _Reject(f"{where} must be a non-empty node id")
+        if item in seen:
+            raise _Reject(f"{where} repeats node {item!r}")
+        seen.add(item)
+        return item
+
+    return _each(raw, label, diags, node)
+
+
+def _parse_graph(raw: Any, diags: list[str]) -> tuple[EvaluationGraph, list[str]]:
+    raw = _object(raw, "graph section", diags)
     program_nodes = _parse_node_list(raw.get("program_nodes", []),
-                                     "graph.program_nodes", check)
+                                     "graph.program_nodes", diags)
     aux_nodes = _parse_node_list(raw.get("aux_nodes", []),
-                                 "graph.aux_nodes", check)
-    sources_raw = raw.get("sources", {})
-    if not isinstance(sources_raw, dict):
-        check.fail("graph.sources must be an object")
-        sources_raw = {}
-    sources = {}
-    for node, text in sources_raw.items():
+                                 "graph.aux_nodes", diags)
+
+    def source(node: str, text: Any) -> tuple[str, str]:
         if not isinstance(text, str):
-            check.fail(f"graph.sources[{node!r}] must be a string")
-            continue
-        sources[node] = text
+            raise _Reject(f"graph.sources[{node!r}] must be a string")
+        return node, text
+
+    def members(owner: str, value: Any) -> tuple[str, frozenset[str]]:
+        if not isinstance(value, list) or any(not isinstance(m, str)
+                                              for m in value):
+            raise _Reject(f"graph.neighborhood[{owner!r}] must be a list of "
+                          "node ids")
+        return owner, frozenset(value)
+
+    sources = dict(_collect(_object(raw.get("sources", {}), "graph.sources",
+                                    diags).items(), diags, source))
     for node in program_nodes:
         sources.setdefault(node, "")
-
-    neighborhood_raw = raw.get("neighborhood", {})
-    if not isinstance(neighborhood_raw, dict):
-        check.fail("graph.neighborhood must be an object")
-        neighborhood_raw = {}
-    neighborhood = {}
-    for owner, members in neighborhood_raw.items():
-        if not isinstance(members, list) or any(not isinstance(m, str)
-                                                for m in members):
-            check.fail(f"graph.neighborhood[{owner!r}] must be a list of node ids")
-            continue
-        neighborhood[owner] = frozenset(members)
+    neighborhood = dict(_collect(_object(raw.get("neighborhood", {}),
+                                         "graph.neighborhood", diags).items(),
+                                 diags, members))
 
     graph = EvaluationGraph(
         program=ProgramGraph(
             nodes=frozenset(program_nodes),
             edges=_parse_edges(raw.get("program_edges", []),
-                               "graph.program_edges", check),
+                               "graph.program_edges", diags),
             sources=sources,
         ),
         aux_nodes=frozenset(aux_nodes),
         context_edges=_parse_edges(raw.get("context_edges", []),
-                                   "graph.context_edges", check),
+                                   "graph.context_edges", diags),
         feedback_edges=_parse_edges(raw.get("feedback_edges", []),
-                                    "graph.feedback_edges", check),
+                                    "graph.feedback_edges", diags),
         neighborhood=neighborhood,
     )
     for violation in validate_graph(graph):
-        check.fail(f"graph: {violation.rule} at {violation.subject}: "
-                   f"{violation.detail}")
+        diags.append(f"graph: {violation.rule} at {violation.subject}: "
+                     f"{violation.detail}")
     return graph, program_nodes + aux_nodes
 
 
-def _parse_claims(raw: Any, graph: EvaluationGraph, kind: asmt.DomainKind,
-                  check: _Check) -> tuple[Claim, ...]:
-    if not check.require(isinstance(raw, list), "claims must be a list"):
-        return ()
-    claims: list[Claim] = []
+def _parse_claims(raw: Any, nodes: frozenset[str], kind: asmt.DomainKind,
+                  diags: list[str]) -> tuple[Claim, ...]:
     labels: set[str] = set()
     keys: set[tuple[str, str]] = set()
-    for i, item in enumerate(raw):
-        where = f"claims[{i}]"
-        if not isinstance(item, dict):
-            check.fail(f"{where} must be an object")
-            continue
-        node = item.get("node")
-        text = item.get("text")
-        label = item.get("label")
-        if not isinstance(node, str) or node not in graph.all_nodes:
-            check.fail(f"{where}: unknown node {node!r}")
-            continue
-        if not isinstance(text, str):
-            check.fail(f"{where}: text must be a string")
-            continue
-        try:
-            key = canonicalize_claim(text)
-        except EmptyClaim as exc:
-            check.fail(f"{where}: {exc}")
-            continue
-        if label is None:
-            label = key
-        if not isinstance(label, str) or not label:
-            check.fail(f"{where}: label must be a non-empty string")
-            continue
+
+    def claim(where: str, item: Any) -> Claim:
+        item = _object(item, where)
+        node = _node(item.get("node"), where, nodes)
+        text = _string(item, "text", f"{where}: text")
+        key = _attempt(where, lambda: canonicalize_claim(text), EmptyClaim)
+        label = _string(item, "label", f"{where}: label", empty=False,
+                        null=True) or key
         if label in labels:
-            check.fail(f"{where}: label {label!r} is already in use")
-            continue
+            raise _Reject(f"{where}: label {label!r} is already in use")
         if (node, key) in keys:
-            check.fail(f"{where}: claim {key!r} is already seeded at {node!r}")
-            continue
+            raise _Reject(f"{where}: claim {key!r} is already seeded at {node!r}")
         if "assessment" in item:
-            try:
-                seeded = asmt.from_json(kind, item["assessment"])
-            except ValueError as exc:
-                check.fail(f"{where}: bad seeded assessment: {exc}")
-                continue
+            seeded = _attempt(f"{where}: bad seeded assessment",
+                              lambda: asmt.from_json(kind, item["assessment"]))
             if seeded != asmt.bottom(kind):
-                check.fail(f"{where}: seeded assessments must be the domain "
-                           "bottom; runs start from nothing")
-                continue
+                raise _Reject(f"{where}: seeded assessments must be the domain "
+                              "bottom; runs start from nothing")
         labels.add(label)
         keys.add((node, key))
-        claims.append(Claim(key=key, text=text, origin=ClaimOrigin.SEEDED,
-                            node=node, label=label))
-    return tuple(claims)
+        return Claim(key=key, text=text, origin=ClaimOrigin.SEEDED, node=node,
+                     label=label)
+
+    return tuple(_each(raw, "claims", diags, claim))
 
 
-def _parse_queries(raw: Any, graph: EvaluationGraph,
-                   check: _Check) -> dict[str, QuerySpec]:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        check.fail("queries section must be an object")
-        raw = {}
+def _parse_queries(raw: Any, nodes: frozenset[str],
+                   diags: list[str]) -> dict[str, QuerySpec]:
+    raw = _object({} if raw is None else raw, "queries section", diags)
 
-    def eval_query(payload: Any, where: str, fallback_id: str) -> EvalQuery | None:
-        if not isinstance(payload, dict):
-            check.fail(f"{where} must be an object")
-            return None
-        template = payload.get("template", DEFAULT_EVAL_TEMPLATE)
+    def eval_query(where: str, payload: Any, fallback_id: str) -> EvalQuery:
+        payload = _object(payload, where)
+        template = _string(payload, "template", f"{where}.template",
+                           DEFAULT_EVAL_TEMPLATE)
+        qid = _string(payload, "id", f"{where}.id", fallback_id)
         bilateral = payload.get("bilateral", True)
-        qid = payload.get("id", fallback_id)
-        if not isinstance(template, str):
-            check.fail(f"{where}.template must be a string")
-            return None
-        if not isinstance(qid, str):
-            check.fail(f"{where}.id must be a string")
-            return None
         if not isinstance(bilateral, bool):
-            check.fail(f"{where}.bilateral must be a boolean")
-            return None
-        try:
-            return EvalQuery(id=qid, template=template, bilateral=bilateral)
-        except ValueError as exc:
-            check.fail(f"{where}: {exc}")
-            return None
+            raise _Reject(f"{where}.bilateral must be a boolean")
+        return _attempt(where, lambda: EvalQuery(id=qid, template=template,
+                                                 bilateral=bilateral))
+
+    def node_query(node: str, payload: Any) -> tuple[str, EvalQuery]:
+        _node(node, "queries.per_node", nodes)
+        return node, eval_query(f"queries.per_node[{node!r}]", payload,
+                                f"eval@{node}")
+
+    gen_by_node: dict[str, list[GenQuery]] = {}
+    gen_ids: set[tuple[str, str]] = set()
+
+    def gen_query(where: str, payload: Any) -> None:
+        payload = _object(payload, where)
+        node = _node(payload.get("node"), where, nodes)
+        qid = _string(payload, "id", f"{where}: id", empty=False)
+        template = _string(payload, "template", f"{where}: template")
+        max_claims = _number(payload, "max_claims", f"{where}: max_claims")
+        if (node, qid) in gen_ids:
+            raise _Reject(f"{where}: id {qid!r} already used at node {node!r}")
+        query = _attempt(where, lambda: GenQuery(id=qid, template=template,
+                                                 max_claims=max_claims))
+        gen_ids.add((node, qid))
+        gen_by_node.setdefault(node, []).append(query)
 
     default_eval = EvalQuery(id="default")
     if "default_eval" in raw:
-        parsed = eval_query(raw["default_eval"], "queries.default_eval", "default")
-        if parsed is not None:
-            default_eval = parsed
-
-    per_node: dict[str, EvalQuery] = {}
-    per_node_raw = raw.get("per_node", {})
-    if not isinstance(per_node_raw, dict):
-        check.fail("queries.per_node must be an object")
-        per_node_raw = {}
-    for node, payload in per_node_raw.items():
-        if node not in graph.all_nodes:
-            check.fail(f"queries.per_node: unknown node {node!r}")
-            continue
-        parsed = eval_query(payload, f"queries.per_node[{node!r}]", f"eval@{node}")
-        if parsed is not None:
-            per_node[node] = parsed
-
-    gen_by_node: dict[str, list[GenQuery]] = {}
-    gen_raw = raw.get("gen", [])
-    if not isinstance(gen_raw, list):
-        check.fail("queries.gen must be a list")
-        gen_raw = []
-    for i, payload in enumerate(gen_raw):
-        where = f"queries.gen[{i}]"
-        if not isinstance(payload, dict):
-            check.fail(f"{where} must be an object")
-            continue
-        node = payload.get("node")
-        if not isinstance(node, str) or node not in graph.all_nodes:
-            check.fail(f"{where}: unknown node {node!r}")
-            continue
-        qid = payload.get("id")
-        template = payload.get("template")
-        max_claims = payload.get("max_claims")
-        if not isinstance(qid, str) or not qid:
-            check.fail(f"{where}: id must be a non-empty string")
-            continue
-        if not isinstance(template, str):
-            check.fail(f"{where}: template must be a string")
-            continue
-        if not isinstance(max_claims, int):
-            check.fail(f"{where}: max_claims must be an integer")
-            continue
-        if any(q.id == qid for q in gen_by_node.get(node, [])):
-            check.fail(f"{where}: id {qid!r} already used at node {node!r}")
-            continue
-        try:
-            query = GenQuery(id=qid, template=template, max_claims=max_claims)
-        except ValueError as exc:
-            check.fail(f"{where}: {exc}")
-            continue
-        gen_by_node.setdefault(node, []).append(query)
-
+        parsed = _collect([("queries.default_eval", raw["default_eval"],
+                            "default")], diags, eval_query)
+        default_eval = parsed[0] if parsed else default_eval
+    per_node = dict(_collect(_object(raw.get("per_node", {}), "queries.per_node",
+                                     diags).items(), diags, node_query))
+    _each(raw.get("gen", []), "queries.gen", diags, gen_query)
     return {
         node: QuerySpec(
             eval=per_node.get(node, default_eval),
             gen=tuple(gen_by_node.get(node, ())),
         )
-        for node in sorted(graph.all_nodes)
+        for node in sorted(nodes)
     }
 
 
-def _parse_seed(payload: Any, where: str, check: _Check) -> EvidenceSeed | None:
-    if not isinstance(payload, dict):
-        check.fail(f"{where} must be an object")
-        return None
-    try:
-        polarity = Polarity(payload.get("polarity"))
-        strength = asmt.Strength.from_token(payload.get("strength"))
-        basis = asmt.ConfidenceBasis.from_token(payload.get("basis"))
-        source = SourceKind(payload.get("source_kind"))
-    except (ValueError, KeyError, TypeError) as exc:
-        check.fail(f"{where}: {exc}")
-        return None
-    excerpt = payload.get("excerpt", "")
-    if not isinstance(excerpt, str):
-        check.fail(f"{where}.excerpt must be a string")
-        return None
-    ref = payload.get("ref")
-    if ref is not None and not isinstance(ref, str):
-        check.fail(f"{where}.ref must be a string")
-        return None
+def _parse_seed(where: str, payload: Any) -> EvidenceSeed:
+    payload = _object(payload, where)
+    polarity, strength, basis, source = _attempt(where, lambda: (
+        Polarity(payload.get("polarity")),
+        asmt.Strength.from_token(payload.get("strength")),
+        asmt.ConfidenceBasis.from_token(payload.get("basis")),
+        SourceKind(payload.get("source_kind")),
+    ), (ValueError, KeyError, TypeError))
     return EvidenceSeed(polarity=polarity, strength=strength, basis=basis,
-                        source_kind=source, excerpt=excerpt, ref=ref)
+                        source_kind=source,
+                        excerpt=_string(payload, "excerpt", f"{where}.excerpt", ""),
+                        ref=_string(payload, "ref", f"{where}.ref", null=True))
 
 
-def _parse_script(raw: Any, graph: EvaluationGraph, kind: asmt.DomainKind,
+def _parse_script(raw: Any, nodes: frozenset[str], kind: asmt.DomainKind,
                   claims: tuple[Claim, ...],
                   queries: Mapping[str, QuerySpec],
-                  check: _Check) -> tuple[ScriptEntry, ...]:
-    if not check.require(isinstance(raw, list), "agent.script must be a list"):
-        return ()
+                  diags: list[str]) -> tuple[ScriptEntry, ...]:
     label_to_key = {(c.node, c.label): c.key for c in claims}
     claim_keys = {(c.node, c.key) for c in claims}
-    entries: list[ScriptEntry] = []
-    seen_exact: set[tuple[str, str, int]] = set()
-    seen_any: set[tuple[str, str]] = set()
-    for i, item in enumerate(raw):
-        where = f"agent.script[{i}]"
-        if not isinstance(item, dict):
-            check.fail(f"{where} must be an object")
-            continue
-        node = item.get("node")
-        if not isinstance(node, str) or node not in graph.all_nodes:
-            check.fail(f"{where}: unknown node {node!r}")
-            continue
-        visit_raw = item.get("visit", "*")
-        if visit_raw == "*":
-            visit: int | None = None
-        elif isinstance(visit_raw, int) and visit_raw >= 0:
-            visit = visit_raw
-        else:
-            check.fail(f"{where}: visit must be a non-negative integer or '*'")
-            continue
-        action = item.get("action")
-        if action is not None and not isinstance(action, str):
-            check.fail(f"{where}: action must be a string")
-            continue
+    stratified = kind is asmt.DomainKind.STRATIFIED
+    seen: set[tuple[str, str, int | None]] = set()
+
+    def entry(where: str, item: Any) -> ScriptEntry:
+        item = _object(item, where)
+        node = _node(item.get("node"), where, nodes)
+        visit = item.get("visit", "*")
+        if visit == "*":
+            visit = None
+        elif not _is_number(visit, 0):
+            raise _Reject(f"{where}: visit must be a non-negative integer or '*'")
+        action = _string(item, "action", f"{where}: action", null=True)
 
         if "gen" in item:
-            gen_id = item.get("gen")
-            spec = queries.get(node)
-            known = {q.id for q in spec.gen} if spec else set()
-            if not isinstance(gen_id, str) or gen_id not in known:
-                check.fail(f"{where}: dangling gen reference {gen_id!r} at "
-                           f"{node!r}")
-                continue
-            raw_claims = item.get("claims", [])
-            if (not isinstance(raw_claims, list)
-                    or any(not isinstance(c, str) for c in raw_claims)):
-                check.fail(f"{where}: claims must be a list of strings")
-                continue
-            key = gen_id
-            result: EvalScript | GenScript = GenScript(
-                claims=tuple(raw_claims), action=action)
+            key = item["gen"]
+            if (not isinstance(key, str)
+                    or key not in {q.id for q in queries[node].gen}):
+                raise _Reject(f"{where}: dangling gen reference {key!r} at "
+                              f"{node!r}")
+            texts = item.get("claims", [])
+            if not isinstance(texts, list) or any(not isinstance(c, str)
+                                                  for c in texts):
+                raise _Reject(f"{where}: claims must be a list of strings")
+            result: EvalScript | GenScript = GenScript(claims=tuple(texts),
+                                                       action=action)
         else:
             ref = item.get("claim")
             if not isinstance(ref, str):
-                check.fail(f"{where}: needs a claim (or gen) reference")
-                continue
+                raise _Reject(f"{where}: needs a claim (or gen) reference")
             key = label_to_key.get((node, ref), ref)
             if (node, key) not in claim_keys:
                 # Generated claims are scripted by their canonical key, which
-                # cannot be checked against the seed list; only flag refs that
-                # look like labels gone missing.
+                # cannot be checked against the seed list; only flag refs
+                # that look like labels gone missing.
                 try:
                     key = canonicalize_claim(key)
                 except EmptyClaim:
-                    check.fail(f"{where}: dangling claim reference {ref!r} at "
-                               f"{node!r}")
-                    continue
+                    raise _Reject(f"{where}: dangling claim reference {ref!r} "
+                                  f"at {node!r}") from None
             assessment = None
             if "assessment" in item:
-                if kind is asmt.DomainKind.STRATIFIED:
-                    check.fail(f"{where}: stratified runs derive assessments "
-                               "from evidence; drop the assessment field")
-                    continue
-                try:
-                    assessment = asmt.from_json(kind, item["assessment"])
-                except ValueError as exc:
-                    check.fail(f"{where}: bad assessment: {exc}")
-                    continue
-            elif kind is not asmt.DomainKind.STRATIFIED:
-                check.fail(f"{where}: eval entries need an assessment in the "
-                           f"{kind.value} domain")
-                continue
-            evidence_raw = item.get("evidence", [])
-            if not isinstance(evidence_raw, list):
-                check.fail(f"{where}: evidence must be a list")
-                continue
-            seeds = []
-            bad = False
-            for j, seed_raw in enumerate(evidence_raw):
-                seed = _parse_seed(seed_raw, f"{where}.evidence[{j}]", check)
-                if seed is None:
-                    bad = True
-                    continue
-                seeds.append(seed)
-            if bad:
-                continue
+                if stratified:
+                    raise _Reject(f"{where}: stratified runs derive assessments "
+                                  "from evidence; drop the assessment field")
+                assessment = _attempt(f"{where}: bad assessment", lambda:
+                                      asmt.from_json(kind, item["assessment"]))
+            elif not stratified:
+                raise _Reject(f"{where}: eval entries need an assessment in the "
+                              f"{kind.value} domain")
+            evidence = item.get("evidence", [])
+            if not isinstance(evidence, list):
+                raise _Reject(f"{where}: evidence must be a list")
+            seeds = _each(evidence, f"{where}.evidence", diags, _parse_seed)
+            if len(seeds) < len(evidence):
+                raise _Reject()  # each bad seed has reported itself
             if assessment is not None:
                 complaint = check_result_consistency(assessment, seeds)
                 if complaint is not None:
-                    check.fail(f"{where}: {complaint}")
-                    continue
-            rationale = item.get("rationale", "")
-            if not isinstance(rationale, str):
-                check.fail(f"{where}: rationale must be a string")
-                continue
-            result = EvalScript(assessment=assessment, evidence=tuple(seeds),
-                                rationale=rationale, action=action)
+                    raise _Reject(f"{where}: {complaint}")
+            result = EvalScript(
+                assessment=assessment, evidence=tuple(seeds), action=action,
+                rationale=_string(item, "rationale", f"{where}: rationale", ""))
 
-        if visit is None:
-            if (node, key) in seen_any:
-                check.fail(f"{where}: duplicate wildcard entry for "
-                           f"{node!r}/{key!r}")
-                continue
-            seen_any.add((node, key))
-        else:
-            if (node, key, visit) in seen_exact:
-                check.fail(f"{where}: duplicate entry for "
-                           f"{node!r}/{key!r} visit {visit}")
-                continue
-            seen_exact.add((node, key, visit))
-        entries.append(ScriptEntry(node=node, key=key, visit=visit,
-                                   result=result))
-    return tuple(entries)
+        if (node, key, visit) in seen:
+            raise _Reject(f"{where}: duplicate wildcard entry for {node!r}/{key!r}"
+                          if visit is None else f"{where}: duplicate entry for "
+                          f"{node!r}/{key!r} visit {visit}")
+        seen.add((node, key, visit))
+        return ScriptEntry(node=node, key=key, visit=visit, result=result)
+
+    return tuple(_each(raw, "agent.script", diags, entry))
 
 
-def _parse_revision(raw: Any, graph: EvaluationGraph, check: _Check
+def _parse_revision(raw: Any, nodes: frozenset[str], diags: list[str]
                     ) -> tuple[EpochConfig, RevisionLimits, tuple[BoundedMove, ...]]:
-    if raw is None:
-        return EpochConfig(), RevisionLimits(), ()
-    if not isinstance(raw, dict):
-        check.fail("revision section must be an object")
-        return EpochConfig(), RevisionLimits(), ()
+    raw = _object({} if raw is None else raw, "revision section", diags)
+    epoch_limit = _number(raw, "epoch_limit", "revision.epoch_limit", 1, low=1,
+                          diags=diags)
 
-    epoch_limit = raw.get("epoch_limit", 1)
-    if not isinstance(epoch_limit, int) or epoch_limit < 1:
-        check.fail("revision.epoch_limit must be a positive integer")
-        epoch_limit = 1
+    def target(where: str, item: Any) -> RevisionTarget:
+        item = _object(item, where)
+        node = _node(item.get("node"), where, nodes)
+        return RevisionTarget(
+            node=node, claim=_string(item, "claim", f"{where}: claim", empty=False),
+            reason=_string(item, "reason", f"{where}: reason", ""))
 
-    plans: dict[int, RevisionPlan] = {}
-    plans_raw = raw.get("plans", {})
-    if not isinstance(plans_raw, dict):
-        check.fail("revision.plans must be an object keyed by epoch")
-        plans_raw = {}
-    for epoch_key, body in plans_raw.items():
+    def plan(epoch_key: str, body: Any) -> tuple[int, RevisionPlan]:
         try:
             epoch = int(epoch_key)
         except (TypeError, ValueError):
-            check.fail(f"revision.plans key {epoch_key!r} is not an epoch number")
-            continue
+            raise _Reject(f"revision.plans key {epoch_key!r} is not an epoch "
+                          "number") from None
         if epoch < 1:
-            check.fail(f"revision.plans key {epoch_key!r} must be >= 1")
-            continue
-        if not isinstance(body, dict):
-            check.fail(f"revision.plans[{epoch_key!r}] must be an object")
-            continue
+            raise _Reject(f"revision.plans key {epoch_key!r} must be >= 1")
+        where = f"revision.plans[{epoch_key!r}]"
+        body = _object(body, where)
+        lowers, retractions = (
+            tuple(_each(body.get(name, []), f"{where}.{name}", diags, target))
+            for name in ("lowers", "retractions"))
+        return epoch, RevisionPlan(lowers=lowers, retractions=retractions)
 
-        def targets(name: str) -> tuple[RevisionTarget, ...]:
-            items = body.get(name, [])
-            if not isinstance(items, list):
-                check.fail(f"revision.plans[{epoch_key!r}].{name} must be a list")
-                return ()
-            out = []
-            for i, t in enumerate(items):
-                where = f"revision.plans[{epoch_key!r}].{name}[{i}]"
-                if not isinstance(t, dict):
-                    check.fail(f"{where} must be an object")
-                    continue
-                node = t.get("node")
-                claim = t.get("claim")
-                reason = t.get("reason", "")
-                if not isinstance(node, str) or node not in graph.all_nodes:
-                    check.fail(f"{where}: unknown node {node!r}")
-                    continue
-                if not isinstance(claim, str) or not claim:
-                    check.fail(f"{where}: claim must be a non-empty string")
-                    continue
-                if not isinstance(reason, str):
-                    check.fail(f"{where}: reason must be a string")
-                    continue
-                out.append(RevisionTarget(node=node, claim=claim, reason=reason))
-            return tuple(out)
-
-        plans[epoch] = RevisionPlan(lowers=targets("lowers"),
-                                    retractions=targets("retractions"))
-
-    limits_raw = raw.get("limits", {})
-    if not isinstance(limits_raw, dict):
-        check.fail("revision.limits must be an object")
-        limits_raw = {}
-    limit_values = {}
-    for name in ("introductions", "retractions", "downward"):
-        value = limits_raw.get(name, 0)
-        if not isinstance(value, int) or value < 0:
-            check.fail(f"revision.limits.{name} must be a non-negative integer")
-            value = 0
-        limit_values[name] = value
-    limits = RevisionLimits(**limit_values)
-
-    moves: list[BoundedMove] = []
-    moves_raw = raw.get("bounded_moves", [])
-    if not isinstance(moves_raw, list):
-        check.fail("revision.bounded_moves must be a list")
-        moves_raw = []
-    for i, m in enumerate(moves_raw):
-        where = f"revision.bounded_moves[{i}]"
-        if not isinstance(m, dict):
-            check.fail(f"{where} must be an object")
-            continue
-        node = m.get("node")
-        action = m.get("action")
-        after_step = m.get("after_step")
-        if not isinstance(node, str) or node not in graph.all_nodes:
-            check.fail(f"{where}: unknown node {node!r}")
-            continue
+    def move(where: str, item: Any) -> BoundedMove:
+        item = _object(item, where)
+        node = _node(item.get("node"), where, nodes)
+        action = item.get("action")
         if action not in ("lower", "retract", "introduce"):
-            check.fail(f"{where}: action must be lower, retract, or introduce")
-            continue
-        if not isinstance(after_step, int) or after_step < 1:
-            check.fail(f"{where}: after_step must be a positive integer")
-            continue
-        claim = m.get("claim")
-        text = m.get("text")
-        if action in ("lower", "retract") and not isinstance(claim, str):
-            check.fail(f"{where}: {action} needs a claim reference")
-            continue
+            raise _Reject(f"{where}: action must be lower, retract, or introduce")
+        after_step = _number(item, "after_step", f"{where}: after_step", low=1)
+        claim = item.get("claim")
+        text = item.get("text")
+        if action != "introduce" and not isinstance(claim, str):
+            raise _Reject(f"{where}: {action} needs a claim reference")
         if action == "introduce" and not isinstance(text, str):
-            check.fail(f"{where}: introduce needs replacement claim text")
-            continue
-        reason = m.get("reason", "")
-        label = m.get("label")
+            raise _Reject(f"{where}: introduce needs replacement claim text")
+        reason = item.get("reason", "")
+        label = item.get("label")
         if not isinstance(reason, str) or (label is not None
                                            and not isinstance(label, str)):
-            check.fail(f"{where}: reason and label must be strings")
-            continue
-        moves.append(BoundedMove(after_step=after_step, node=node, action=action,
-                                 claim=claim, text=text, reason=reason,
-                                 label=label))
+            raise _Reject(f"{where}: reason and label must be strings")
+        return BoundedMove(after_step=after_step, node=node, action=action,
+                           claim=claim, text=text, reason=reason, label=label)
 
+    plans = dict(_collect(_object(raw.get("plans", {}), "revision.plans", diags,
+                                  " keyed by epoch").items(), diags, plan))
+    limits = _object(raw.get("limits", {}), "revision.limits", diags)
+    limits = RevisionLimits(**{
+        name: _number(limits, name, f"revision.limits.{name}", 0, low=0,
+                      diags=diags)
+        for name in ("introductions", "retractions", "downward")})
+    moves = _each(raw.get("bounded_moves", []), "revision.bounded_moves", diags,
+                  move)
     return EpochConfig(epoch_limit=epoch_limit, plans=plans), limits, tuple(moves)
 
 
+def _parse_caps(raw: Any, nodes: frozenset[str], claims: tuple[Claim, ...],
+                diags: list[str]) -> ClaimCaps:
+    raw = _object(raw, "caps", diags)
+    default = _number(raw, "default", "caps.default", ClaimCaps.default, low=1,
+                      diags=diags)
+    per_node_raw = _object(raw.get("per_node", {}), "caps.per_node", diags)
+
+    def node_cap(node: str, value: Any) -> tuple[str, int]:
+        _node(node, "caps.per_node", nodes)
+        return node, _number(per_node_raw, node, f"caps.per_node[{node!r}]",
+                             low=1)
+
+    caps = ClaimCaps(default=default, per_node=dict(
+        _collect(per_node_raw.items(), diags, node_cap)))
+    for node, count in sorted(Counter(c.node for c in claims).items()):
+        if count > caps.cap_for(node):
+            diags.append(f"node {node!r} seeds {count} claims but its cap is "
+                         f"{caps.cap_for(node)}")
+    return caps
+
+
+def _parse_policy(raw: Any, nodes: frozenset[str],
+                  diags: list[str]) -> OrderPolicy:
+    raw = _object(raw, "policy", diags)
+    name = raw.get("kind", "fifo")
+    steps = raw.get("steps")
+    goal_node = raw.get("goal_node")
+    if name not in POLICY_NAMES:
+        diags.append(f"policy.kind must be one of {list(POLICY_NAMES)}")
+        return parse_policy("fifo")
+    if steps is not None:
+        if not isinstance(steps, list) or any(not isinstance(s, str)
+                                              for s in steps):
+            diags.append("policy.steps must be a list of node ids")
+            steps = None
+        else:
+            diags.extend(f"policy.steps names unknown node {s!r}"
+                         for s in steps if s not in nodes)
+    if goal_node is not None and (not isinstance(goal_node, str)
+                                  or goal_node not in nodes):
+        diags.append(f"policy.goal_node {goal_node!r} is not in the graph")
+    try:
+        return parse_policy(name, steps=steps, goal_node=goal_node)
+    except ValueError as exc:
+        diags.append(f"policy: {exc}")
+        return parse_policy("fifo")
+
+
 def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
-    check = _Check()
     if not isinstance(data, dict):
         raise ValidationError(["scenario must be a JSON object"])
+    diags: list[str] = []
 
     goal = data.get("goal")
     if not isinstance(goal, str) or not goal.strip():
-        check.fail("goal must be a non-empty string")
+        diags.append("goal must be a non-empty string")
         goal = ""
 
     kind_raw = data.get("domain", "graded")
     try:
         kind = asmt.DomainKind(kind_raw)
     except ValueError:
-        check.fail(f"domain must be one of "
-                   f"{[k.value for k in asmt.DomainKind]}, got {kind_raw!r}")
+        diags.append(f"domain must be one of "
+                     f"{[k.value for k in asmt.DomainKind]}, got {kind_raw!r}")
         kind = asmt.DomainKind.GRADED
 
-    graph, node_declaration = _parse_graph(data.get("graph"), check)
-    claims = _parse_claims(data.get("claims", []), graph, kind, check)
-    queries = _parse_queries(data.get("queries"), graph, check)
+    graph, node_declaration = _parse_graph(data.get("graph"), diags)
+    nodes = graph.all_nodes
+    claims = _parse_claims(data.get("claims", []), nodes, kind, diags)
+    queries = _parse_queries(data.get("queries"), nodes, diags)
+    caps = _parse_caps(data.get("caps", {}), nodes, claims, diags)
+    policy = _parse_policy(data.get("policy", {}), nodes, diags)
 
-    caps_raw = data.get("caps", {})
-    if not isinstance(caps_raw, dict):
-        check.fail("caps must be an object")
-        caps_raw = {}
-    default_cap = caps_raw.get("default", ClaimCaps().default)
-    if not isinstance(default_cap, int) or default_cap < 1:
-        check.fail("caps.default must be a positive integer")
-        default_cap = ClaimCaps().default
-    per_node_raw = caps_raw.get("per_node", {})
-    if not isinstance(per_node_raw, dict):
-        check.fail("caps.per_node must be an object")
-        per_node_raw = {}
-    per_node_caps = {}
-    for node, value in per_node_raw.items():
-        if node not in graph.all_nodes:
-            check.fail(f"caps.per_node: unknown node {node!r}")
-            continue
-        if not isinstance(value, int) or value < 1:
-            check.fail(f"caps.per_node[{node!r}] must be a positive integer")
-            continue
-        per_node_caps[node] = value
-    caps = ClaimCaps(default=default_cap, per_node=per_node_caps)
-    seeded_count: dict[str, int] = {}
-    for claim in claims:
-        seeded_count[claim.node] = seeded_count.get(claim.node, 0) + 1
-    for node, count in sorted(seeded_count.items()):
-        if count > caps.cap_for(node):
-            check.fail(f"node {node!r} seeds {count} claims but its cap is "
-                       f"{caps.cap_for(node)}")
+    budget = _object(data.get("budget", {}), "budget", diags)
+    hard_step_cap = None
+    if budget.get("hard_step_cap") is not None:
+        hard_step_cap = _number(budget, "hard_step_cap", "budget.hard_step_cap",
+                                low=1, diags=diags)
 
-    policy_raw = data.get("policy", {})
-    if not isinstance(policy_raw, dict):
-        check.fail("policy must be an object")
-        policy_raw = {}
-    policy_kind = policy_raw.get("kind", "fifo")
-    steps = policy_raw.get("steps")
-    goal_node = policy_raw.get("goal_node")
-    policy: OrderPolicy | None = None
-    if policy_kind not in POLICY_NAMES:
-        check.fail(f"policy.kind must be one of {list(POLICY_NAMES)}")
-    else:
-        if steps is not None:
-            if (not isinstance(steps, list)
-                    or any(not isinstance(s, str) for s in steps)):
-                check.fail("policy.steps must be a list of node ids")
-                steps = None
-            else:
-                for s in steps:
-                    if s not in graph.all_nodes:
-                        check.fail(f"policy.steps names unknown node {s!r}")
-        if goal_node is not None and (not isinstance(goal_node, str)
-                                      or goal_node not in graph.all_nodes):
-            check.fail(f"policy.goal_node {goal_node!r} is not in the graph")
-        try:
-            policy = parse_policy(policy_kind, steps=steps, goal_node=goal_node)
-        except ValueError as exc:
-            check.fail(f"policy: {exc}")
-    if policy is None:
-        policy = parse_policy("fifo")
-
-    budget_raw = data.get("budget", {})
-    if not isinstance(budget_raw, dict):
-        check.fail("budget must be an object")
-        budget_raw = {}
-    hard_step_cap = budget_raw.get("hard_step_cap")
-    if hard_step_cap is not None and (not isinstance(hard_step_cap, int)
-                                      or hard_step_cap < 1):
-        check.fail("budget.hard_step_cap must be a positive integer")
-        hard_step_cap = None
-
-    agent_raw = data.get("agent", {})
-    if not isinstance(agent_raw, dict):
-        check.fail("agent must be an object")
-        agent_raw = {}
+    agent_raw = _object(data.get("agent", {}), "agent", diags)
     backend = agent_raw.get("backend", "scripted")
     entries: tuple[ScriptEntry, ...] = ()
     if backend == "scripted":
-        entries = _parse_script(agent_raw.get("script", []), graph, kind,
-                                claims, queries, check)
-    elif backend == "remote":
-        pass  # endpoint may come from the environment at run time
-    else:
-        check.fail("agent.backend must be scripted or remote")
+        entries = _parse_script(agent_raw.get("script", []), nodes, kind,
+                                claims, queries, diags)
+    elif backend != "remote":  # remote: the endpoint may come at run time
+        diags.append("agent.backend must be scripted or remote")
         backend = "scripted"
-    endpoint = agent_raw.get("endpoint")
-    if endpoint is not None and not isinstance(endpoint, str):
-        check.fail("agent.endpoint must be a string")
-        endpoint = None
-    timeout = agent_raw.get("timeout", 120.0)
-    if not isinstance(timeout, (int, float)) or timeout <= 0:
-        check.fail("agent.timeout must be a positive number")
-        timeout = 120.0
-    retries = agent_raw.get("retries", 1)
-    if not isinstance(retries, int) or retries < 0:
-        check.fail("agent.retries must be a non-negative integer")
-        retries = 1
+    endpoint = _string(agent_raw, "endpoint", "agent.endpoint", null=True,
+                       diags=diags)
+    timeout = _number(agent_raw, "timeout", "agent.timeout", 120.0, real=True,
+                      diags=diags)
+    retries = _number(agent_raw, "retries", "agent.retries", 1, low=0,
+                      diags=diags)
     agent = AgentConfig(backend=backend, entries=entries, endpoint=endpoint,
                         timeout=float(timeout), retries=retries)
 
     epochs, limits, bounded_moves = _parse_revision(data.get("revision"),
-                                                    graph, check)
+                                                    nodes, diags)
 
-    context_raw = data.get("context", {})
-    if not isinstance(context_raw, dict):
-        check.fail("context must be an object")
-        context_raw = {}
-    excerpt_cap = context_raw.get("excerpt_cap", DEFAULT_EXCERPT_CAP)
-    if not isinstance(excerpt_cap, int) or excerpt_cap < 0:
-        check.fail("context.excerpt_cap must be a non-negative integer")
-        excerpt_cap = DEFAULT_EXCERPT_CAP
+    context = _object(data.get("context", {}), "context", diags)
+    excerpt_cap = _number(context, "excerpt_cap", "context.excerpt_cap",
+                          DEFAULT_EXCERPT_CAP, low=0, diags=diags)
 
     goal_claim = data.get("goal_claim")
-    if goal_claim is not None:
-        if not isinstance(goal_claim, str) \
-                or goal_claim not in {c.label for c in claims}:
-            check.fail(f"goal_claim {goal_claim!r} does not name a seeded claim")
-            goal_claim = None
+    if goal_claim is not None and (not isinstance(goal_claim, str)
+                                   or goal_claim not in {c.label for c in claims}):
+        diags.append(f"goal_claim {goal_claim!r} does not name a seeded claim")
+        goal_claim = None
+
+    if diags:
+        raise ValidationError(diags)
 
     # Seed order: nodes in order of first seeded claim, then nodes that only
     # generate, then everything else in declaration order.
-    declared: list[str] = []
-    for claim in claims:
-        if claim.node not in declared:
-            declared.append(claim.node)
-    for node in node_declaration:
-        spec = queries.get(node)
-        if spec is not None and spec.gen and node not in declared:
-            declared.append(node)
-    for node in node_declaration:
-        if node not in declared:
-            declared.append(node)
-
-    if check.diagnostics:
-        raise ValidationError(check.diagnostics)
-
+    declared = dict.fromkeys([
+        *(claim.node for claim in claims),
+        *(node for node in node_declaration if queries[node].gen),
+        *node_declaration,
+    ])
     return Scenario(
         goal=goal,
         kind=kind,
