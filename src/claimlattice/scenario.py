@@ -11,6 +11,7 @@ later fields are not checked.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,9 +141,12 @@ def _object(raw: Any, label: str, diags: list[str] | None = None,
 
 
 def _is_number(value: Any, low: int | None = None, real: bool = False) -> bool:
-    """An integer no smaller than ``low``, or, if ``real``, a positive number."""
+    """An integer no smaller than ``low``, or, if ``real``, a positive finite
+    number. JSON booleans are neither."""
+    if isinstance(value, bool):
+        return False
     if real:
-        return isinstance(value, (int, float)) and not value <= 0
+        return isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
     return isinstance(value, int) and (low is None or value >= low)
 
 

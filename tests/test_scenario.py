@@ -438,6 +438,55 @@ def test_build_backend_override(monkeypatch):
 
 # --- context knobs ----------------------------------------------------------------------
 
+# JSON booleans are not numbers, and a timeout must be finite. Each case
+# loaded (or crashed) before these were checked.
+NUMERIC_CASES = {
+    "hard_step_cap=true": (("budget", "hard_step_cap"), True,
+                           "budget.hard_step_cap must be a positive integer"),
+    "timeout=true": (("agent", "timeout"), True,
+                     "agent.timeout must be a positive number"),
+    "timeout=nan": (("agent", "timeout"), float("nan"),
+                    "agent.timeout must be a positive number"),
+    "timeout=inf": (("agent", "timeout"), float("inf"),
+                    "agent.timeout must be a positive number"),
+    "timeout=10**400": (("agent", "timeout"), 10**400,
+                        "agent.timeout must be a positive number"),
+    "retries=true": (("agent", "retries"), True,
+                     "agent.retries must be a non-negative integer"),
+    "excerpt_cap=false": (("context", "excerpt_cap"), False,
+                          "context.excerpt_cap must be a non-negative integer"),
+    "caps.default=true": (("caps", "default"), True,
+                          "caps.default must be a positive integer"),
+    "caps.per_node=true": (("caps", "per_node", "m"), True,
+                           "caps.per_node['m'] must be a positive integer"),
+    "epoch_limit=true": (("revision", "epoch_limit"), True,
+                         "revision.epoch_limit must be a positive integer"),
+    "limits.downward=false": (
+        ("revision", "limits", "downward"), False,
+        "revision.limits.downward must be a non-negative integer"),
+    "after_step=true": (
+        ("revision", "bounded_moves", 0, "after_step"), True,
+        "revision.bounded_moves[0]: after_step must be a positive integer"),
+    "max_claims=true": (("queries", "gen", 0, "max_claims"), True,
+                        "queries.gen[0]: max_claims must be an integer"),
+    "visit=true": (("agent", "script", 0, "visit"), True,
+                   "agent.script[0]: visit must be a non-negative integer or '*'"),
+}
+
+
+@pytest.mark.parametrize("path, value, message", NUMERIC_CASES.values(),
+                         ids=list(NUMERIC_CASES))
+def test_numeric_fields_reject_booleans_and_non_finite(path, value, message):
+    data = base_data()
+    data["queries"] = {"gen": [{"node": "m", "id": "g", "template": "t",
+                                "max_claims": 1}]}
+    data["revision"] = {"bounded_moves": [
+        {"node": "m", "action": "lower", "claim": "cm", "after_step": 1}]}
+    parse_scenario(copy.deepcopy(data))
+    _set_path(data, path, value)
+    assert diags(data) == [message]
+
+
 def test_excerpt_cap_validation():
     data = base_data()
     data["context"] = {"excerpt_cap": -1}
