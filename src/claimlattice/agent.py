@@ -381,9 +381,11 @@ class RemoteAgent:
                 headers=headers, method="POST")
             with _OPENER.open(request, timeout=self.timeout) as response:
                 status, body = response.status, response.read()
-        except (OSError, http.client.HTTPException, ValueError) as exc:
+        except (OSError, http.client.HTTPException, ValueError,
+                OverflowError) as exc:
             # A timeout surfaces bare or wrapped in URLError, depending on
             # whether it hit while connecting or while awaiting the reply.
+            # A timeout too large for the platform's clock overflows.
             if isinstance(getattr(exc, "reason", exc), TimeoutError):
                 raise MalformedResponse(
                     f"remote agent timed out after {self.timeout}s") from None

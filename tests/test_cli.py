@@ -2,9 +2,12 @@
 
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from claimlattice import assessment as asmt
 from claimlattice.trace import replay_json_lines
@@ -171,3 +174,23 @@ def test_file_endpoint_in_scenario_is_transport_failure(tmp_path, capsys):
     (line,) = captured.err.splitlines()
     assert line.startswith("agent transport failure: ")
     assert not (out / "requests.jsonl").exists()
+
+
+@pytest.mark.parametrize("timeout", [1e10, 1e300])
+def test_huge_agent_timeout_is_transport_failure(timeout, tmp_path, capsys):
+    from claimlattice.cli import main
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+    raw = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    raw["agent"] = {"backend": "remote", "timeout": timeout,
+                    "endpoint": f"http://127.0.0.1:{port}/"}
+    scenario = tmp_path / "huge_timeout.scenario"
+    scenario.write_text(json.dumps(raw), encoding="utf-8")
+    code = main(["run", str(scenario)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("agent transport failure: ")
