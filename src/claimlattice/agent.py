@@ -48,6 +48,7 @@ __all__ = [
 ENDPOINT_ENV = "AGENT_ENDPOINT"
 TOKEN_ENV = "AGENT_TOKEN"
 DEFAULT_TIMEOUT = 120.0
+DEFAULT_RETRIES = 1
 
 WILDCARD_VISIT = None  # script entries with visit=None match any visit index
 

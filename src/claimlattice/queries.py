@@ -29,6 +29,8 @@ __all__ = [
     "DEFAULT_EVAL_TEMPLATE",
 ]
 
+DEFAULT_EXCERPT_CAP = 8
+
 ALLOWED_PLACEHOLDERS = frozenset({"claim", "goal", "code", "pred_states"})
 _PLACEHOLDER = re.compile(r"\{([a-zA-Z_]+)\}")
 
@@ -111,7 +113,7 @@ def build_context(
     goal: str,
     node: str,
     *,
-    excerpt_cap: int = 8,
+    excerpt_cap: int = DEFAULT_EXCERPT_CAP,
 ) -> PromptContext:
     """Deterministic context for one node: neighborhood sources plus every
     extended predecessor's claims with their active evidence excerpts.

@@ -21,8 +21,10 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 from . import assessment as asmt
+from .agent import DEFAULT_RETRIES
 from .errors import RevisionDuringRun, UnknownRevisionTarget
 from .graph import EvaluationGraph, extended_successors
+from .queries import DEFAULT_EXCERPT_CAP
 from .state import (
     AnalysisState,
     Claim,
@@ -330,8 +332,8 @@ def run_epochs(
     budget: TerminationBudget,
     epochs: EpochConfig,
     declared_order: Sequence[str] | None = None,
-    excerpt_cap: int = 8,
-    agent_retries: int = 1,
+    excerpt_cap: int = DEFAULT_EXCERPT_CAP,
+    agent_retries: int = DEFAULT_RETRIES,
     bounded: BoundedRevision | None = None,
 ) -> EpochResult:
     """Stabilize, apply the boundary plan, re-seed, repeat.

@@ -19,6 +19,8 @@ from typing import Any, Mapping
 
 from . import assessment as asmt
 from .agent import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
     EvalScript,
     GenScript,
     ScriptedAgent,
@@ -27,7 +29,13 @@ from .agent import (
 )
 from .errors import EmptyClaim, ParseError, ValidationError
 from .graph import EvaluationGraph, ProgramGraph, validate_graph
-from .queries import DEFAULT_EVAL_TEMPLATE, EvalQuery, GenQuery, QuerySpec
+from .queries import (
+    DEFAULT_EVAL_TEMPLATE,
+    DEFAULT_EXCERPT_CAP,
+    EvalQuery,
+    GenQuery,
+    QuerySpec,
+)
 from .revision import (
     BoundedMove,
     EpochConfig,
@@ -49,8 +57,6 @@ from .worklist import ClaimCaps, OrderPolicy, POLICY_NAMES, parse_policy
 
 __all__ = ["AgentConfig", "Scenario", "load_scenario", "parse_scenario",
            "build_initial_state", "build_backend"]
-
-DEFAULT_EXCERPT_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -596,9 +602,9 @@ def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
         backend = "scripted"
     endpoint = _string(agent_raw, "endpoint", "agent.endpoint", null=True,
                        diags=diags)
-    timeout = _number(agent_raw, "timeout", "agent.timeout", 120.0, real=True,
+    timeout = _number(agent_raw, "timeout", "agent.timeout", DEFAULT_TIMEOUT, real=True,
                       diags=diags)
-    retries = _number(agent_raw, "retries", "agent.retries", 1, low=0,
+    retries = _number(agent_raw, "retries", "agent.retries", DEFAULT_RETRIES, low=0,
                       diags=diags)
     agent = AgentConfig(backend=backend, entries=entries, endpoint=endpoint,
                         timeout=float(timeout), retries=retries)

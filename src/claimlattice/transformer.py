@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import assessment as asmt
-from .agent import AgentBackend
+from .agent import DEFAULT_RETRIES, AgentBackend
 from .errors import MalformedResponse, UnknownNode
 from .graph import EvaluationGraph
-from .queries import QuerySpec, build_context
+from .queries import DEFAULT_EXCERPT_CAP, QuerySpec, build_context
 from .state import (
     AnalysisState,
     Claim,
@@ -92,8 +92,8 @@ def process_node(
     claim_cap: int,
     epoch: int = 1,
     step: int = 0,
-    excerpt_cap: int = 8,
-    agent_retries: int = 1,
+    excerpt_cap: int = DEFAULT_EXCERPT_CAP,
+    agent_retries: int = DEFAULT_RETRIES,
 ) -> tuple[AnalysisState, StepReport]:
     if node not in state.nodes:
         raise UnknownNode(f"node {node!r} is not part of this run")

@@ -19,10 +19,10 @@ from itertools import count
 from typing import Callable, Mapping, Sequence
 
 from . import assessment as asmt
-from .agent import AgentBackend
+from .agent import DEFAULT_RETRIES, AgentBackend
 from .errors import BudgetExceeded, InvariantViolation, ScenarioError, UnknownNode
 from .graph import EvaluationGraph, extended_predecessors, extended_successors
-from .queries import QuerySpec
+from .queries import DEFAULT_EXCERPT_CAP, QuerySpec
 from .state import AnalysisState, assessment_projection
 from .trace import ColumnRegistry, JoinRecord, RunTrace, TraceStep
 from .transformer import process_node
@@ -382,8 +382,8 @@ def run(
     policy: OrderPolicy,
     budget: TerminationBudget,
     declared_order: Sequence[str] | None = None,
-    excerpt_cap: int = 8,
-    agent_retries: int = 1,
+    excerpt_cap: int = DEFAULT_EXCERPT_CAP,
+    agent_retries: int = DEFAULT_RETRIES,
     epoch: int = 1,
     seeds: Sequence[str] | None = None,
     columns: ColumnRegistry | None = None,
