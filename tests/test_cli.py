@@ -19,6 +19,9 @@ GOLDEN_REVISION = REPO / "scenarios" / "opaque_review_revision.scenario"
 
 def run_cli(*args, drop_env=()):
     env = {k: v for k, v in os.environ.items() if k not in drop_env}
+    # The child imports the package from this checkout, as pytest does.
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "claimlattice.cli", *args],
         capture_output=True, text=True, cwd=REPO, env=env)
