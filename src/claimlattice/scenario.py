@@ -519,7 +519,7 @@ def _parse_caps(raw: Any, nodes: frozenset[str], claims: tuple[Claim, ...],
                       diags=diags)
     per_node_raw = _object(raw.get("per_node", {}), "caps.per_node", diags)
 
-    def node_cap(node: str, value: Any) -> tuple[str, int]:
+    def node_cap(node: str, _: Any) -> tuple[str, int]:
         _node(node, "caps.per_node", nodes)
         return node, _number(per_node_raw, node, f"caps.per_node[{node!r}]",
                              low=1)
