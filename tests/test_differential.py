@@ -27,7 +27,6 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Mapping
 
 from claimlattice.cli import execute
 from claimlattice.errors import ValidationError
@@ -196,7 +195,7 @@ def _canonical(obj):
         return [type(obj).__name__] + [
             [f.name, _canonical(getattr(obj, f.name))]
             for f in dataclasses.fields(obj) if f.name != "path"]
-    if isinstance(obj, Mapping):
+    if isinstance(obj, dict):
         return sorted(([_canonical(k), _canonical(v)] for k, v in obj.items()),
                       key=json.dumps)
     if isinstance(obj, (set, frozenset)):
