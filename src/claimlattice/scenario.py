@@ -597,15 +597,15 @@ def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
     if backend == "scripted":
         entries = _parse_script(agent_raw.get("script", []), nodes, kind,
                                 claims, queries, diags)
-    elif backend != "remote":  # remote: the endpoint may come at run time
+    elif backend != "remote":  # a remote endpoint may come from the environment
         diags.append("agent.backend must be scripted or remote")
         backend = "scripted"
     endpoint = _string(agent_raw, "endpoint", "agent.endpoint", null=True,
                        diags=diags)
-    timeout = _number(agent_raw, "timeout", "agent.timeout", DEFAULT_TIMEOUT, real=True,
-                      diags=diags)
-    retries = _number(agent_raw, "retries", "agent.retries", DEFAULT_RETRIES, low=0,
-                      diags=diags)
+    timeout = _number(agent_raw, "timeout", "agent.timeout", DEFAULT_TIMEOUT,
+                      real=True, diags=diags)
+    retries = _number(agent_raw, "retries", "agent.retries", DEFAULT_RETRIES,
+                      low=0, diags=diags)
     agent = AgentConfig(backend=backend, entries=entries, endpoint=endpoint,
                         timeout=float(timeout), retries=retries)
 
