@@ -5,7 +5,10 @@ the rendered table, the JSON trace and the evidence log; runs through
 ``cli.execute`` hash every epoch's trace, the evidence log, the revision log
 and the status. A run that raises is recorded as its exception type and
 message. Goal-directed ordering is left out: its traces follow the probe
-rule, which ``test_worklist`` checks on its own.
+rule, which ``test_worklist`` checks on its own. A ``ctx/`` entry per run
+hashes the ``repr`` of every prompt context its steps built, so a wrong
+upstream finding or excerpt moves a hash even though the scripted agent
+never reads the context.
 
 A second fixture pins the scenario loader. Every mutation-target shape of
 both shipped scenarios (the shapes ``test_scenario`` fuzzes, optional fields
@@ -28,6 +31,9 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
+import claimlattice.transformer as transformer
 from claimlattice.cli import execute
 from claimlattice.errors import ValidationError
 from claimlattice.revision import export_revision_log
@@ -156,24 +162,40 @@ def cli_scenarios() -> dict[str, object]:
     }
 
 
-def record() -> dict[str, str]:
+def record(monkeypatch) -> dict[str, str]:
+    """Hash every run, and under ``ctx/`` the contexts its steps built;
+    ``monkeypatch`` wraps ``build_context`` where the transformer calls it."""
     entries: dict[str, str] = {}
+    contexts: list[str] = []
+    build = transformer.build_context
+
+    def capture(*args, **kwargs):
+        ctx = build(*args, **kwargs)
+        contexts.append(repr(ctx))
+        return ctx
+
+    monkeypatch.setattr(transformer, "build_context", capture)
+
+    def hashed(key: str, produce) -> None:
+        contexts.clear()
+        entries[key] = _guarded(produce)
+        entries[f"ctx/{key}"] = _digest(*contexts)
+
     for seed in SEEDS:
         for name in POLICIES:
-            entries[f"gen/{seed}/{name}"] = _guarded(
-                lambda: _generated_run(seed, name))
+            hashed(f"gen/{seed}/{name}", lambda: _generated_run(seed, name))
     for label, data in cli_scenarios().items():
         scenario = parse_scenario(data, path=Path(label))
         for name in (None, *POLICIES):
-            entries[f"cli/{label}/{name or 'own'}"] = _guarded(
-                lambda: _cli_run(scenario, name))
+            hashed(f"cli/{label}/{name or 'own'}",
+                   lambda: _cli_run(scenario, name))
     return entries
 
 
-def test_differential_fixture_unchanged():
+def test_differential_fixture_unchanged(monkeypatch):
     expected = json.loads(FIXTURE.read_text("utf-8"))
-    actual = record()
-    assert len(expected) == 820
+    actual = record(monkeypatch)
+    assert len(expected) == 1640
     assert sorted(actual) == sorted(expected)
     changed = [key for key in expected if actual[key] != expected[key]]
     assert not changed, f"{len(changed)} entries moved, first: {changed[:5]}"
@@ -240,6 +262,8 @@ def test_loader_fixture_unchanged():
 
 
 if __name__ == "__main__":
-    for path, entries in ((FIXTURE, record()), (LOADER_FIXTURE, record_loader())):
+    with pytest.MonkeyPatch.context() as patch:
+        runs = record(patch)
+    for path, entries in ((FIXTURE, runs), (LOADER_FIXTURE, record_loader())):
         path.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")

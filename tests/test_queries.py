@@ -1,6 +1,10 @@
 """Prompt contexts and template rendering."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimlattice import assessment as asmt
 from claimlattice.errors import MissingPlaceholderData
@@ -110,6 +114,66 @@ def test_build_context_excerpt_cap(two_node):
         state = record_update(state, "m", cm.key, asmt.GradedValue(W, BOT), recs)
     ctx = build_context(graph, state, "g", "n", excerpt_cap=3)
     assert ctx.pred_states[0].excerpts == ("x11", "x10", "x9")
+
+
+def reference_excerpts(state, entry, excerpt_cap):
+    """The filter-then-sort reading of a claim's excerpts: every active
+    record it cites, newest (epoch, step, id) first, cut at the cap."""
+    cited = [state.evidence[i] for i in entry.evidence_ids
+             if state.evidence[i].status is EvidenceStatus.ACTIVE]
+    cited.sort(key=lambda r: (r.epoch, r.step, r.id), reverse=True)
+    return tuple(r.excerpt for r in cited[:excerpt_cap])
+
+
+EVIDENCE_OPS = st.lists(st.one_of(
+    # Mint 1-3 records for claim 0 or 1 at an (epoch, step) in any order,
+    # optionally under a ref, and attach them.
+    st.tuples(st.just("mint"), st.integers(0, 1), st.integers(1, 3),
+              st.integers(0, 4), st.integers(1, 3),
+              st.sampled_from([None, "r1", "r2"])),
+    # Move the i-th record (mod the count) out of ACTIVE.
+    st.tuples(st.just("mark"), st.integers(0, 99),
+              st.sampled_from([EvidenceStatus.SUPERSEDED,
+                               EvidenceStatus.RETRACTED])),
+    # Attach the i-th record (mod the count) to claim 0 or 1 again.
+    st.tuples(st.just("cite"), st.integers(0, 1), st.integers(0, 99)),
+), max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=EVIDENCE_OPS, first_id=st.sampled_from([1, 999_990]))
+def test_build_context_excerpts_match_filter_and_sort(ops, first_id):
+    # Ids start near e999999 too, where e1000000 sorts first as a string.
+    graph = chain_graph("m", "n")
+    claims = (seeded_claim("m", "first claim", "c0"),
+              seeded_claim("m", "second claim", "c1"))
+    state = initial_state(graph, asmt.DomainKind.GRADED, claims)
+    state = replace(state, evidence_seq=first_id)
+    minted = 0
+    for op in ops:
+        if op[0] == "mint":
+            _, which, epoch, step, count, ref = op
+            seeds = []
+            for _ in range(count):
+                seeds.append(seed(f"x{minted}", ref))
+                minted += 1
+            state, recs = mint_evidence(state, "m", claims[which].key, seeds,
+                                        epoch=epoch, step=step)
+            state = record_update(state, "m", claims[which].key,
+                                  asmt.GradedValue(W, BOT), recs)
+        elif state.evidence and op[0] == "mark":
+            ids = sorted(state.evidence)
+            state = mark_evidence(state, [ids[op[1] % len(ids)]], op[2], "r")
+        elif state.evidence:
+            ids = sorted(state.evidence)
+            record = state.evidence[ids[op[2] % len(ids)]]
+            state = record_update(state, "m", claims[op[1]].key,
+                                  asmt.GradedValue(BOT, BOT), [record])
+    entries = state.nodes["m"].entries
+    for cap in range(4):
+        ctx = build_context(graph, state, "g", "n", excerpt_cap=cap)
+        assert [p.excerpts for p in ctx.pred_states] == [
+            reference_excerpts(state, entry, cap) for entry in entries.values()]
 
 
 def test_build_context_code_from_neighborhood(two_node):
