@@ -119,23 +119,26 @@ def build_context(
     extended predecessor's claims with their active evidence excerpts.
 
     Excerpts are capped per claim, newest first, so late corrections are what
-    downstream nodes see when a record budget bites. A node sees its own
-    sibling claims only if a context self-loop says so.
+    downstream nodes see when a record budget bites. Evidence ids are kept
+    in (epoch, step, id) order, so only the newest active ones are read. A
+    node sees its own sibling claims only if a context self-loop says so.
     """
     preds = []
     for pred in sorted(extended_predecessors(graph, node)):
         table = state.nodes[pred]
         for key, entry in table.entries.items():
-            cited = [state.evidence[i] for i in entry.evidence_ids
-                     if state.evidence[i].status is EvidenceStatus.ACTIVE]
-            cited.sort(key=lambda r: (r.epoch, r.step, r.id), reverse=True)
-            excerpts = tuple(r.excerpt for r in cited[:excerpt_cap])
+            excerpts: list[str] = []
+            for record in map(state.evidence.__getitem__, reversed(entry.evidence_ids)):
+                if len(excerpts) >= excerpt_cap:
+                    break
+                if record.status is EvidenceStatus.ACTIVE:
+                    excerpts.append(record.excerpt)
             preds.append(PredecessorClaim(
                 node=pred,
                 key=key,
                 label=entry.claim.label,
                 assessment=entry.assessment,
-                excerpts=excerpts,
+                excerpts=tuple(excerpts),
             ))
     return PromptContext(
         node=node,

@@ -9,6 +9,7 @@ node tables with its input, which keeps the per-step frame check cheap
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -196,7 +197,8 @@ def record_update(
     """Join a contributed assessment into a claim and attach its evidence.
 
     The stored assessment can only move up the lattice; evidence ids are
-    unioned, so re-citing an already attached record is a no-op.
+    unioned, so re-citing an already attached record is a no-op. They stay
+    in ascending (epoch, step, id) order, so the newest are read first.
     """
     table = _node_state(state, node)
     if claim_key not in table.entries:
@@ -218,7 +220,9 @@ def record_update(
             raise ValueError(f"evidence id {record.id!r} reused with different content")
         if record.id not in seen:
             seen.add(record.id)
-            merged_ids.append(record.id)
+            # Appends unless the record sorts before the current last one.
+            bisect.insort(merged_ids, record.id, key=lambda i: (
+                evidence[i].epoch, evidence[i].step, i))
     new_entry = ClaimEntry(entry.claim, joined, tuple(merged_ids))
     entries = dict(table.entries)
     entries[claim_key] = new_entry

@@ -170,6 +170,10 @@ def test_build_context_excerpts_match_filter_and_sort(ops, first_id):
             state = record_update(state, "m", claims[op[1]].key,
                                   asmt.GradedValue(BOT, BOT), [record])
     entries = state.nodes["m"].entries
+    for entry in entries.values():
+        order = [(r.epoch, r.step, r.id)
+                 for r in map(state.evidence.get, entry.evidence_ids)]
+        assert order == sorted(order)
     for cap in range(4):
         ctx = build_context(graph, state, "g", "n", excerpt_cap=cap)
         assert [p.excerpts for p in ctx.pred_states] == [
