@@ -11,7 +11,10 @@ propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 from .errors import UnknownNode
 
@@ -44,13 +47,32 @@ class EvaluationGraph:
     # Which program nodes' source text a node gets to see.
     neighborhood: Mapping[str, frozenset[str]]
 
-    @property
+    # Computed on first use: the graph never changes after construction.
+    @cached_property
     def all_nodes(self) -> frozenset[str]:
         return self.program.nodes | self.aux_nodes
 
-    @property
+    @cached_property
     def extended_edges(self) -> frozenset[Edge]:
         return self.context_edges | self.feedback_edges
+
+    @cached_property
+    def context_successors(self) -> Mapping[str, tuple[str, ...]]:
+        return _adjacency(self.context_edges)
+
+    @cached_property
+    def feedback_successors(self) -> Mapping[str, tuple[str, ...]]:
+        return _adjacency(self.feedback_edges)
+
+    @cached_property
+    def _extended_predecessors(self) -> Mapping[str, tuple[str, ...]]:
+        return _adjacency((dst, src) for src, dst in self.extended_edges)
+
+
+def _adjacency(edges: Iterable[Edge]) -> dict[str, tuple[str, ...]]:
+    """Sorted successors of each node that has any."""
+    return {src: tuple(dst for _, dst in group)
+            for src, group in groupby(sorted(edges), key=itemgetter(0))}
 
 
 def _require_node(graph: EvaluationGraph, node: str) -> None:
@@ -62,12 +84,13 @@ def extended_predecessors(graph: EvaluationGraph, node: str) -> frozenset[str]:
     """Sources of context and feedback edges into the node. Program edges
     deliberately do not count."""
     _require_node(graph, node)
-    return frozenset(src for src, dst in graph.extended_edges if dst == node)
+    return frozenset(graph._extended_predecessors.get(node, ()))
 
 
 def extended_successors(graph: EvaluationGraph, node: str) -> frozenset[str]:
     _require_node(graph, node)
-    return frozenset(dst for src, dst in graph.extended_edges if src == node)
+    return frozenset(graph.context_successors.get(node, ())
+                     + graph.feedback_successors.get(node, ()))
 
 
 @dataclass(frozen=True)

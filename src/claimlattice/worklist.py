@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 from . import assessment as asmt
 from .agent import DEFAULT_RETRIES, AgentBackend
 from .errors import BudgetExceeded, InvariantViolation, ScenarioError, UnknownNode
-from .graph import EvaluationGraph, extended_predecessors, extended_successors
+from .graph import EvaluationGraph, extended_predecessors
 from .queries import DEFAULT_EXCERPT_CAP, QuerySpec
 from .state import AnalysisState, assessment_projection
 from .trace import ColumnRegistry, JoinRecord, RunTrace, TraceStep
@@ -479,12 +479,10 @@ def run(
                     f"{trigger_budget}")
             # Forward flow enqueues before feedback re-examination; the split
             # fixes the FIFO ordering (and the rendered worklist column).
-            for succ in sorted(dst for src, dst in graph.context_edges
-                               if src == node):
+            for succ in graph.context_successors.get(node, ()):
                 if worklist.push(succ):
                     enqueued.append((succ, "ac_change"))
-            for succ in sorted(dst for src, dst in graph.feedback_edges
-                               if src == node):
+            for succ in graph.feedback_successors.get(node, ()):
                 if worklist.push(succ, feedback=True):
                     enqueued.append((succ, "ac_change"))
 
