@@ -262,15 +262,17 @@ def presence_to_graded(value: FourValue) -> GradedValue:
 
 def enumerate_domain(kind: DomainKind) -> tuple[Assessment, ...]:
     """Every element of the domain. Small by construction (4 / 9 / 441)."""
+    factor = _polarity_lattice(kind)
+    value = {k: t for t, k in _KIND_BY_TYPE.items()}[kind]
+    return tuple(value(s, r) for s in factor for r in factor)
+
+
+def _polarity_lattice(kind: DomainKind) -> tuple:
+    """The lattice one polarity ranges over; each domain is its square."""
     if kind is DomainKind.FOUR:
-        return tuple(FourValue(s, r) for s in (False, True) for r in (False, True))
+        return (False, True)
     if kind is DomainKind.GRADED:
-        return tuple(GradedValue(s, r) for s in Strength for r in Strength)
-    polarities = _enumerate_polarities()
-    return tuple(StratifiedValue(s, r) for s in polarities for r in polarities)
-
-
-def _enumerate_polarities() -> tuple[StratifiedPolarity, ...]:
+        return tuple(Strength)
     out = []
     for levels in itertools.product(Strength, repeat=len(BASES)):
         if all(b <= a for a, b in zip(levels, levels[1:])):
@@ -282,33 +284,21 @@ def _enumerate_polarities() -> tuple[StratifiedPolarity, ...]:
 def domain_height(kind: DomainKind) -> int:
     """Number of strict steps in the longest ascending chain of the domain.
 
-    Computed by longest-path search over the enumerated elements rather than
-    hard-coded, so the termination budget stays correct if a domain is ever
-    reshaped.
+    Computed by longest-path search rather than hard-coded, so the
+    termination budget stays correct if a domain is ever reshaped. The
+    search runs over one polarity lattice: a product's height is the sum of
+    its factors' heights, and both factors are that lattice.
     """
-    elems = enumerate_domain(kind)
-    ordered = sorted(elems, key=_measure)
-    best: dict[Assessment, int] = {}
+    # As grade tuples, a polarity lattice is ordered pointwise, and the grade
+    # sum grows along every strict step, so sorting by it is a topological
+    # order for the longest-path pass.
+    ordered = sorted((x.levels if isinstance(x, StratifiedPolarity) else (x,)
+                      for x in _polarity_lattice(kind)), key=sum)
+    best: dict = {}
     for i, e in enumerate(ordered):
-        h = 0
-        me = _measure(e)
-        for f in ordered[:i]:
-            if _measure(f) >= me:
-                continue
-            if leq(f, e) and best[f] + 1 > h:
-                h = best[f] + 1
-        best[e] = h
-    return max(best.values())
-
-
-def _measure(value: Assessment) -> int:
-    # Strictly increases along any strict step, so sorting by it yields a
-    # topological order for the longest-path pass.
-    if isinstance(value, FourValue):
-        return int(value.support_present) + int(value.refute_present)
-    if isinstance(value, GradedValue):
-        return int(value.support) + int(value.refute)
-    return sum(value.support.levels) + sum(value.refute.levels)
+        best[e] = max((best[f] + 1 for f in ordered[:i]
+                       if all(p <= q for p, q in zip(f, e))), default=0)
+    return 2 * max(best.values())
 
 
 # --- serialization -----------------------------------------------------------
