@@ -95,10 +95,19 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read scenario {path}: {exc}") from None
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # also a repeated key, deep nesting
         raise ParseError(f"scenario {path} is not valid JSON: {exc}") from None
     return parse_scenario(data, path=path)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object, refused if a key repeats: the last value would win."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise ValueError(f"key {key!r} repeats within one object")
+    return obj
 
 
 class _Reject(Exception):
@@ -468,8 +477,10 @@ def _parse_revision(raw: Any, nodes: frozenset[str], diags: list[str]
         try:
             epoch = int(epoch_key)
         except (TypeError, ValueError):
+            epoch = None
+        if str(epoch) != epoch_key:  # "01", " 1" or "1_0" would alias a key
             raise _Reject(f"revision.plans key {epoch_key!r} is not an epoch "
-                          "number") from None
+                          "number")
         if epoch < 1:
             raise _Reject(f"revision.plans key {epoch_key!r} must be >= 1")
         where = f"revision.plans[{epoch_key!r}]"

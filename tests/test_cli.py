@@ -124,6 +124,19 @@ def test_check_invalid_scenario(tmp_path):
     assert "outside the graph" in proc.stderr
 
 
+def test_deeply_nested_scenario_is_parse_error(tmp_path, capsys):
+    from claimlattice.cli import main
+    deep = tmp_path / "deep.scenario"
+    deep.write_text('{"goal": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                    encoding="utf-8")
+    code = main(["check", str(deep)])
+    captured = capsys.readouterr()
+    assert code == 1
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: scenario {deep} is not valid JSON: ")
+    assert "recursion" in line
+
+
 def test_missing_scenario_file():
     proc = run_cli("run", str(REPO / "scenarios" / "absent.scenario"))
     assert proc.returncode == 1

@@ -112,6 +112,19 @@ def test_bad_json_is_parse_error(tmp_path):
         load_scenario(bad)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"goal": "a", "goal": "b"}', "goal"),
+    ('{"goal": "g", "graph": {"program_nodes": [], "program_nodes": ["m"]}}',
+     "program_nodes"),
+])
+def test_repeated_key_is_parse_error(tmp_path, text, key):
+    # json.loads alone keeps the last value and loads without a word.
+    bad = tmp_path / "repeated.scenario"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError, match=f"key '{key}' repeats"):
+        load_scenario(bad)
+
+
 def test_non_object_scenario_rejected():
     with pytest.raises(ValidationError):
         parse_scenario(["not", "an", "object"])
@@ -401,6 +414,17 @@ def test_revision_validation():
     assert "after_step" in joined
     assert "introduce needs replacement claim text" in joined
     assert "lower needs a claim reference" in joined
+
+
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "1_0", "\u0661"])
+def test_revision_plan_keys_must_be_canonical(key):
+    # Each key used to alias "1" or "10", and the later plan replaced the
+    # earlier one without a diagnostic.
+    data = base_data()
+    data["revision"] = {"epoch_limit": 2, "plans": {
+        "1": {"lowers": [{"node": "m", "claim": "cm"}]},
+        key: {"retractions": [{"node": "n", "claim": "cn"}]}}}
+    assert diags(data) == [f"revision.plans key {key!r} is not an epoch number"]
 
 
 # --- agent config ---------------------------------------------------------------------
