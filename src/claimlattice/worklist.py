@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 from . import assessment as asmt
 from .agent import DEFAULT_RETRIES, AgentBackend
 from .errors import BudgetExceeded, InvariantViolation, ScenarioError, UnknownNode
-from .graph import EvaluationGraph, extended_predecessors
+from .graph import EvaluationGraph, extended_predecessors, extended_successors
 from .queries import DEFAULT_EXCERPT_CAP, QuerySpec
 from .state import AnalysisState, assessment_projection
 from .trace import ColumnRegistry, JoinRecord, RunTrace, TraceStep
@@ -269,9 +269,7 @@ def weak_topological_order(graph: EvaluationGraph):
     and successors are always visited in node-id order.
     """
     nodes = sorted(graph.all_nodes)
-    succs: dict[str, list[str]] = {n: [] for n in nodes}
-    for src, dst in sorted(graph.extended_edges):
-        succs[src].append(dst)
+    succs = {n: sorted(extended_successors(graph, n)) for n in nodes}
 
     dfn: dict[str, float] = dict.fromkeys(nodes, 0)
     stack: list[str] = []
