@@ -4,7 +4,9 @@ Each entry is a short sha256 over what one run writes. Generated runs hash
 the rendered table, the JSON trace and the evidence log; runs through
 ``cli.execute`` hash every epoch's trace, the evidence log, the revision log
 and the status. A run that raises is recorded as its exception type and
-message. Goal-directed ordering is left out: its traces follow the probe
+message. Each JSON trace is hashed through ``expand_json_lines``, which
+rebuilds every row's full ``assessments`` map, so the hashes pin the cells
+a trace implies, not how it stores them. Goal-directed ordering is left out: its traces follow the probe
 rule, which ``test_worklist`` checks on its own. A ``ctx/`` entry per run
 hashes the ``repr`` of every prompt context its steps built, so a wrong
 upstream finding or excerpt moves a hash even though the scripted agent
@@ -65,6 +67,27 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()[:16]
 
 
+def expand_json_lines(text: str) -> str:
+    """Full-row form of a JSON trace: a node row that stores only its
+    ``changed`` cells gets the ``assessments`` map of the last keyframe with
+    every change since folded in, and ``schema`` is dropped. Rows that
+    already carry ``assessments`` pass through unchanged."""
+    out = []
+    full: dict = {}
+    for line in text.split("\n"):
+        if not line:
+            continue
+        row = json.loads(line)
+        row.pop("schema", None)
+        if "changed" in row:
+            full = {**full, **row.pop("changed")}
+            row["assessments"] = full
+        else:
+            full = row["assessments"]
+        out.append(json.dumps(row, ensure_ascii=False, sort_keys=True))
+    return "\n".join(out) + ("\n" if out else "")
+
+
 def _guarded(produce) -> str:
     try:
         return _digest(*produce())
@@ -85,7 +108,8 @@ def _generated_run(seed: int, policy_name: str):
                                          sorted(gen.graph.all_nodes)),
         declared_order=gen.declared_order,
     )
-    return (render_table(result.trace), to_json_lines(result.trace),
+    return (render_table(result.trace),
+            expand_json_lines(to_json_lines(result.trace)),
             export_evidence_log(result.state))
 
 
@@ -95,7 +119,7 @@ def _cli_run(scenario, policy_name: str | None):
     parts = []
     for trace in result.traces:
         parts.append(render_table(trace))
-        parts.append(to_json_lines(trace))
+        parts.append(expand_json_lines(to_json_lines(trace)))
     parts.append(export_evidence_log(result.state))
     parts.append(export_revision_log(result.revision_log))
     parts.append(result.status)
