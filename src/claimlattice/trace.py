@@ -5,12 +5,19 @@ per step, one column per claim, a join column, the worklist after the step)
 and machine-readable JSON lines. The JSON form carries every join with its
 operands, so a trace can be replayed from its first row and checked against
 the final state bit for bit.
+
+Both are written from per-row changes. A keyframe (the init and revision
+rows, which have no node) holds every cell; a node row holds only the cells
+of its node's columns that differ from the previous row. By the frame
+property no other cell can differ, so writing, rendering and replaying a
+row costs what it changed, not the number of columns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 from . import assessment as asmt
 from .errors import ScenarioError
@@ -24,7 +31,11 @@ __all__ = [
     "render_table",
     "to_json_lines",
     "replay_json_lines",
+    "SCHEMA",
 ]
+
+# Version of the JSON trace: keyframes carry it, node rows store ``changed``.
+SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -121,55 +132,96 @@ def _worklist_cell(members: tuple[str, ...]) -> str:
     return "{" + ", ".join(members) + "}"
 
 
+def _row_cells(trace: RunTrace) -> Iterator[tuple[TraceStep, Sequence[int]]]:
+    """Each step with the positions of the cells its row stores.
+
+    A keyframe (``node is None``) stores every cell. A node row stores the
+    cells of its node's columns whose value differs from the previous row,
+    where a column the previous row lacks counts as None.
+    """
+    positions: dict[str, list[int]] = {}
+    for i, column in enumerate(trace.columns):
+        positions.setdefault(column.node, []).append(i)
+    previous: tuple = ()
+    for step in trace.steps:
+        current = step.assessments
+        if step.node is None:
+            yield step, range(len(current))
+        else:
+            yield step, [
+                i for i in positions.get(step.node, ()) if i < len(current)
+                and current[i][1] != (previous[i][1] if i < len(previous) else None)]
+        previous = current
+
+
 def render_table(trace: RunTrace) -> str:
     """Fixed-width text table, one row per step. Unchanged claim cells print
     a middle dot; claims that do not exist print a dash."""
     labels = [c.label for c in trace.columns]
     header = ["Step", "Node", "Action", *labels, "Join", "W after step"]
-    rows: list[list[str]] = []
-    previous: dict[str, asmt.Assessment | None] = {}
-    for step in trace.steps:
-        cells = [str(step.index), step.node or "-", step.action]
-        current = dict(step.assessments)
-        for label in labels:
-            value = current.get(label)
-            if value is None:
-                cells.append("-")
-            elif step.index != trace.steps[0].index and previous.get(label) == value:
-                cells.append("·")
-            else:
-                cells.append(asmt.pretty(value))
-        previous = current
-        cells.append(_join_cell(step))
-        cells.append(_worklist_cell(step.worklist_after))
-        rows.append(cells)
-
     widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
+    first = 3  # position of the first claim column
+    values: list = [None] * len(labels)
+    # Per row: the leading cells, the claim cells it prints as
+    # (column, text, claim exists), and the trailing cells.
+    rows: list[tuple[list[str], list[tuple[int, str, bool]], list[str]]] = []
+    for step, cells in _row_cells(trace):
+        printed = []
+        for i in cells:
+            value = step.assessments[i][1]
+            if value is None:
+                text = "-"
+            elif rows and value == values[i]:
+                text = "·"
+            else:
+                text = asmt.pretty(value)
+            values[i] = value
+            printed.append((i, text, value is not None))
+            widths[first + i] = max(widths[first + i], len(text))
+        head = [str(step.index), step.node or "-", step.action]
+        tail = [_join_cell(step), _worklist_cell(step.worklist_after)]
+        rows.append((head, printed, tail))
+        for i, cell in enumerate(head + tail):
+            column = i if i < first else i + len(labels)
+            widths[column] = max(widths[column], len(cell))
 
-    def fmt(row: list[str]) -> str:
-        return " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
+    def pad(cells: list[str], offset: int) -> list[str]:
+        return [cell.ljust(widths[offset + i]) for i, cell in enumerate(cells)]
 
-    lines = [fmt(header)]
-    lines.append("-+-".join("-" * w for w in widths))
-    lines.extend(fmt(row) for row in rows)
+    claim_widths = widths[first:first + len(labels)]
+    dots = ["·".ljust(w) for w in claim_widths]
+    dashes = ["-".ljust(w) for w in claim_widths]
+    base = dashes.copy()
+    tail_offset = first + len(labels)
+    lines = [" | ".join(pad(header, 0)).rstrip(),
+             "-+-".join("-" * w for w in widths)]
+    for head, printed, tail in rows:
+        claims = base.copy()
+        for i, text, exists in printed:
+            claims[i] = text.ljust(claim_widths[i])
+            base[i] = dots[i] if exists else dashes[i]
+        lines.append(" | ".join(
+            pad(head, 0) + claims + pad(tail, tail_offset)).rstrip())
     return "\n".join(lines) + "\n"
 
 
+def _cell_json(value: asmt.Assessment | None):
+    return asmt.to_json(value) if value is not None else None
+
+
 def to_json_lines(trace: RunTrace) -> str:
+    """One JSON object per row. A keyframe stores every cell under
+    ``assessments`` and states the ``schema``; a node row stores only its
+    ``changed`` cells."""
     out = []
-    for step in trace.steps:
+    for step, cells in _row_cells(trace):
+        stored = {step.assessments[i][0]: _cell_json(step.assessments[i][1])
+                  for i in cells}
         payload = {
             "step": step.index,
             "epoch": trace.epoch,
             "node": step.node,
             "action": step.action,
-            "assessments": {
-                label: (asmt.to_json(value) if value is not None else None)
-                for label, value in step.assessments
-            },
             "joins": [
                 {
                     "node": j.node,
@@ -187,6 +239,11 @@ def to_json_lines(trace: RunTrace) -> str:
             "evidence_only": step.evidence_only,
             "diagnostics": list(step.diagnostics),
         }
+        if step.node is None:
+            payload["assessments"] = stored
+            payload["schema"] = SCHEMA
+        else:
+            payload["changed"] = stored
         out.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
     return "\n".join(out) + ("\n" if out else "")
 
@@ -194,23 +251,35 @@ def to_json_lines(trace: RunTrace) -> str:
 def replay_json_lines(text: str, kind: asmt.DomainKind) -> dict[str, list]:
     """Re-derive the final assessments from a JSON trace.
 
-    Within each epoch, starts from that epoch's first row and folds every
-    recorded join, checking that old values chain correctly and that
-    old ⊔ contributed really is the recorded new value. Returns the final
-    label -> serialized-assessment map. Raises ScenarioError on any drift.
+    Each keyframe sets every cell. Each node row folds its joins from there:
+    a join's old value must be the claim's replayed value (bottom for a
+    claim not seen since the keyframe), and old ⊔ contributed must be the
+    recorded new value. The row's ``changed`` cells must be exactly what its
+    joins imply: every claim with a column that a join moved, and every
+    claim it inserted, at their new values. A join on a claim without a
+    column folds without a cell. Rows are split on "\n" only, since labels
+    may hold other line separators. Returns the final label ->
+    serialized-assessment map. Raises ScenarioError on any drift.
     """
-    steps = [json.loads(line) for line in text.splitlines() if line.strip()]
-    if not steps:
-        return {}
-    current: dict[str, list] = {}
-    for step in steps:
-        if step["node"] is None:
-            # Snapshot rows (epoch start, revision) carry full state; the
-            # replay re-baselines on them instead of folding joins.
-            current = {label: value
-                       for label, value in step["assessments"].items()
-                       if value is not None}
+    bottom = asmt.to_json(asmt.bottom(kind))
+    values: dict[str, list] = {}
+    columns: set[str] = set()
+    for line in text.split("\n"):
+        if not line.strip():
             continue
+        step = json.loads(line)
+        if step["node"] is None:
+            columns = set(step["assessments"])
+            values = {label: value
+                      for label, value in step["assessments"].items()
+                      if value is not None}
+            continue
+        if "changed" not in step:
+            raise ScenarioError(
+                f"step {step['step']} has no 'changed' cells; replay reads "
+                f"trace schema {SCHEMA}, whose node rows store only those")
+        changed = step["changed"]
+        implied: dict[str, list] = {}
         for join_rec in step["joins"]:
             label = join_rec["label"]
             old = asmt.from_json(kind, join_rec["old"])
@@ -220,18 +289,17 @@ def replay_json_lines(text: str, kind: asmt.DomainKind) -> dict[str, list]:
                 raise ScenarioError(
                     f"step {step['step']} records a join that does not hold "
                     f"for {label}")
-            if label in current:
-                chained = asmt.from_json(kind, current[label])
-                if chained != old:
-                    raise ScenarioError(
-                        f"step {step['step']} join for {label} starts from "
-                        f"{join_rec['old']} but the replayed value is "
-                        f"{current[label]}")
-            current[label] = join_rec["new"]
-        # New claims can also appear at their creation step without a join
-        # only as bottom; pick up any assessments the row shows that replay
-        # has no record of.
-        for label, value in step["assessments"].items():
-            if value is not None and label not in current:
-                current[label] = value
-    return current
+            chained = values.get(label, bottom)
+            if asmt.from_json(kind, chained) != old:
+                raise ScenarioError(
+                    f"step {step['step']} join for {label} starts from "
+                    f"{join_rec['old']} but the replayed value is {chained}")
+            values[label] = join_rec["new"]
+            if (new != old) if label in columns else label in changed:
+                implied[label] = join_rec["new"]
+        if changed != implied:
+            raise ScenarioError(
+                f"step {step['step']} records changed cells {changed} but "
+                f"its joins imply {implied}")
+        columns.update(changed)
+    return values

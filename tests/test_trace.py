@@ -1,23 +1,35 @@
 """Trace rendering and replay."""
 
+import hashlib
 import json
 
 import pytest
 
 from claimlattice import assessment as asmt
-from claimlattice.agent import EvalScript, ScriptEntry, ScriptedAgent
+from claimlattice.agent import EvalScript, GenScript, ScriptEntry, ScriptedAgent
+from claimlattice.cli import execute
 from claimlattice.errors import ScenarioError
+from claimlattice.queries import EvalQuery, GenQuery, QuerySpec
+from claimlattice.scenario import load_scenario
 from claimlattice.state import initial_state
 from claimlattice.trace import (
+    SCHEMA,
     ColumnRegistry,
     JoinRecord,
     render_table,
     replay_json_lines,
     to_json_lines,
 )
-from claimlattice.worklist import ClaimCaps, FifoPolicy, TerminationBudget, run
+from claimlattice.worklist import (
+    ClaimCaps,
+    FifoPolicy,
+    TerminationBudget,
+    parse_policy,
+    run,
+)
 
-from conftest import chain_graph, plain_queries, seeded_claim
+from conftest import GOLDEN, chain_graph, plain_queries, seeded_claim
+from genutil import generate_scenario
 
 W = asmt.Strength.WEAK
 S = asmt.Strength.STRONG
@@ -28,9 +40,9 @@ def graded(sup, ref):
     return asmt.GradedValue(sup, ref)
 
 
-def small_run():
+def small_run(label_m="cm"):
     graph = chain_graph("m", "n")
-    cm = seeded_claim("m", "claim at m", "cm")
+    cm = seeded_claim("m", "claim at m", label_m)
     cn = seeded_claim("n", "claim at n", "cn")
     state = initial_state(graph, asmt.DomainKind.GRADED, (cm, cn))
     agent = ScriptedAgent([
@@ -126,3 +138,164 @@ def test_replay_rejects_chain_drift():
 
 def test_replay_empty_trace():
     assert replay_json_lines("", asmt.DomainKind.GRADED) == {}
+
+
+def _rows(result):
+    return [json.loads(line) for line in to_json_lines(result.trace).split("\n")
+            if line]
+
+
+def _replay_rows(rows):
+    text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    return replay_json_lines(text, asmt.DomainKind.GRADED)
+
+
+def test_json_rows_store_keyframes_and_changed_cells():
+    rows = _rows(small_run())
+    assert rows[0]["schema"] == SCHEMA
+    assert rows[0]["assessments"] == {"cm": ["bot", "bot"], "cn": ["bot", "bot"]}
+    assert [row.get("changed") for row in rows[1:]] == [
+        {"cm": ["w", "bot"]}, {"cn": ["bot", "s"]}]
+    assert not any("assessments" in row or "schema" in row for row in rows[1:])
+
+
+@pytest.mark.parametrize("edit", ["edited cell", "missing move", "unexplained cell"])
+def test_replay_rejects_changed_cells_the_joins_do_not_imply(edit):
+    rows = _rows(small_run())
+    _replay_rows(rows)  # the untouched trace replays
+    if edit == "edited cell":
+        rows[1]["changed"]["cm"] = ["s", "bot"]
+    elif edit == "missing move":
+        del rows[1]["changed"]["cm"]
+    else:
+        rows[1]["changed"]["cn"] = ["bot", "bot"]
+    with pytest.raises(ScenarioError, match="step 1 records changed cells"):
+        _replay_rows(rows)
+
+
+def test_replay_rejects_schema_1_rows():
+    rows = _rows(small_run())
+    full = dict(rows[0].pop("assessments"))
+    del rows[0]["schema"]
+    rows[0]["assessments"] = dict(full)
+    for row in rows[1:]:
+        full.update(row.pop("changed"))
+        row["assessments"] = dict(full)
+    with pytest.raises(ScenarioError, match=f"schema {SCHEMA}"):
+        _replay_rows(rows)
+
+
+def test_label_with_line_separator_replays():
+    result = small_run(label_m="c\u2028m")
+    text = to_json_lines(result.trace)
+    assert "\u2028" in text
+    assert replay_json_lines(text, asmt.DomainKind.GRADED) == {
+        "c\u2028m": asmt.to_json(graded(W, BOT)),
+        "cn": asmt.to_json(graded(BOT, S)),
+    }
+
+
+def test_claim_without_column_folds_without_cell():
+    # m generates claim x on its first visit, but that evaluation answers in
+    # the wrong domain, so the claim gets no column until the next keyframe.
+    # The feedback edge brings m back, and its join then moves with no cell.
+    graph = chain_graph("m", "n", feedback=(("n", "m"),))
+    cm = seeded_claim("m", "claim at m", "cm")
+    cn = seeded_claim("n", "claim at n", "cn")
+    queries = plain_queries(graph)
+    queries["m"] = QuerySpec(eval=EvalQuery(id="eval@m"),
+                             gen=(GenQuery(id="more", template="t", max_claims=1),))
+    agent = ScriptedAgent([
+        ScriptEntry("m", cm.key, None, EvalScript(graded(W, BOT))),
+        ScriptEntry("m", "more", None, GenScript(claims=("claim x",))),
+        ScriptEntry("m", "claim x", 0, EvalScript(asmt.FourValue(True, False))),
+        ScriptEntry("m", "claim x", None, EvalScript(graded(W, BOT))),
+        ScriptEntry("n", cn.key, None, EvalScript(graded(BOT, S))),
+    ])
+    caps = ClaimCaps()
+    result = run(
+        graph, initial_state(graph, asmt.DomainKind.GRADED, (cm, cn)),
+        goal="g", queries=queries, backend=agent, caps=caps,
+        policy=FifoPolicy(),
+        budget=TerminationBudget.for_run(asmt.DomainKind.GRADED, caps, ["m", "n"]))
+    rows = _rows(result)
+    moved = [row for row in rows
+             if any(j["label"] == "g1@m" and not j["absorbed"] for j in row["joins"])]
+    assert len(moved) == 1 and moved[0]["changed"] == {}
+    assert "g1@m" not in [c.label for c in result.trace.columns]
+    assert _replay_rows(rows) == {
+        "cm": asmt.to_json(graded(W, BOT)),
+        "cn": asmt.to_json(graded(BOT, S)),
+        "g1@m": asmt.to_json(graded(W, BOT)),
+    }
+
+
+def _expected_changed(previous, step):
+    """The cells a node row implies: its moving joins on claims that have a
+    column, plus the claims it inserted (columns new in this row)."""
+    current = dict(step.assessments)
+    before = {label for label, _ in previous.assessments}
+    cells = {j.label: j.new for j in step.joins
+             if not j.absorbed and j.label in current}
+    cells.update((label, value) for label, value in current.items()
+                 if label not in before)
+    return {label: asmt.to_json(value) for label, value in cells.items()}
+
+
+@pytest.mark.parametrize("policy_name", ["fifo", "lifo", "wto", "feedback-priority"])
+def test_changed_cells_are_moving_joins_plus_insertions(policy_name):
+    for seed in range(200):
+        gen = generate_scenario(seed, visit_sensitive=True)
+        result = run(
+            gen.graph, gen.fresh_state(),
+            goal="the goal", queries=gen.queries, backend=gen.fresh_backend(),
+            caps=gen.caps, policy=parse_policy(policy_name),
+            budget=TerminationBudget.for_run(gen.kind, gen.caps,
+                                             sorted(gen.graph.all_nodes)),
+            declared_order=gen.declared_order)
+        steps = result.trace.steps
+        text = to_json_lines(result.trace)
+        rows = [json.loads(line) for line in text.split("\n") if line]
+        assert len(rows) == len(steps)
+        assert rows[0]["action"] == "init" and "assessments" in rows[0]
+        for previous, step, row in zip(steps, steps[1:], rows[1:]):
+            assert step.node is not None and "assessments" not in row
+            assert row["changed"] == _expected_changed(previous, step), seed
+        final = {entry.claim.label: asmt.to_json(entry.assessment)
+                 for table in result.state.nodes.values()
+                 for entry in table.entries.values()}
+        assert replay_json_lines(text, gen.kind) == final
+
+
+def test_keyframes_only_at_init_and_revision_rows():
+    from test_differential import cli_scenarios
+    from claimlattice.scenario import parse_scenario
+    actions = set()
+    for data in cli_scenarios().values():
+        result = execute(parse_scenario(data))
+        for trace in result.traces:
+            for line in to_json_lines(trace).split("\n"):
+                if not line:
+                    continue
+                row = json.loads(line)
+                keyframe = row["node"] is None
+                assert keyframe == (row["action"] in ("init", "revision"))
+                assert keyframe == ("assessments" in row) == ("schema" in row)
+                assert keyframe != ("changed" in row)
+                if keyframe:
+                    actions.add((row["action"], row["step"] > 0))
+    # Epoch starts and a mid-run revision row are both covered.
+    assert actions == {("init", False), ("revision", False), ("revision", True)}
+
+
+# sha256 of the shipped review scenario's trace.jsonl, in schema 2. The
+# differential fixture hashes traces through a full-row expander, so these
+# bytes are pinned here.
+GOLDEN_JSONL_SHA256 = (
+    "cd783e0334ffb3ac151af0b3c0d601649fb4dfb8e42478a75d6029be8232beec")
+
+
+def test_golden_json_trace_bytes_are_pinned():
+    result = execute(load_scenario(GOLDEN))
+    text = "".join(to_json_lines(trace) for trace in result.traces)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_JSONL_SHA256
