@@ -16,7 +16,7 @@ row costs what it changed, not the number of columns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Sequence
 
 from . import assessment as asmt
@@ -48,17 +48,25 @@ class ClaimColumn:
 class ColumnRegistry:
     """Stable claim-column order: seeded claims first (declaration order),
     then generated claims as they appear. Shared across epochs so tables
-    stay aligned."""
+    stay aligned.
+
+    A slot (node, claim key) whose claim was retracted can later hold a
+    claim with another label. That label gets a column of its own, and the
+    old column is retired: its key becomes "", which no canonical claim key
+    equals, so it reads as absent from then on."""
 
     def __init__(self):
         self._columns: list[ClaimColumn] = []
-        self._seen: set[tuple[str, str]] = set()
+        self._slots: dict[tuple[str, str], int] = {}
 
     def add(self, label: str, node: str, key: str) -> None:
         slot = (node, key)
-        if slot in self._seen:
-            return
-        self._seen.add(slot)
+        index = self._slots.get(slot)
+        if index is not None:
+            if self._columns[index].label == label:
+                return
+            self._columns[index] = replace(self._columns[index], key="")
+        self._slots[slot] = len(self._columns)
         self._columns.append(ClaimColumn(label=label, node=node, key=key))
 
     @property

@@ -299,3 +299,44 @@ def test_golden_json_trace_bytes_are_pinned():
     result = execute(load_scenario(GOLDEN))
     text = "".join(to_json_lines(trace) for trace in result.traces)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_JSONL_SHA256
+
+
+def test_regenerated_claim_gets_its_own_column():
+    # m generates claim x as g1@m, the epoch-1 plan retracts it, and epoch 2
+    # generates it again as g2@m. The slot (m, "claim x") then holds another
+    # label, so g2@m gets a column and g1@m's column reads nothing.
+    from claimlattice.cli import write_report
+    from claimlattice.scenario import parse_scenario
+    from test_scenario import base_data
+    data = base_data()
+    data["queries"] = {"gen": [{"node": "m", "id": "more", "template": "t",
+                                "max_claims": 1}]}
+    data["agent"]["script"] += [
+        {"node": "m", "gen": "more", "claims": ["Claim x"]},
+        {"node": "m", "claim": "claim x", "visit": 0, "assessment": ["w", "bot"]},
+        {"node": "m", "claim": "claim x", "assessment": ["bot", "s"]},
+    ]
+    data["revision"] = {"epoch_limit": 2, "plans": {"1": {"retractions": [
+        {"node": "m", "claim": "g1@m", "reason": "re-modeled"}]}}}
+    scenario = parse_scenario(data)
+    result = execute(scenario)
+    first, second = result.traces
+    assert [c.label for c in first.columns] == ["cm", "cn", "g1@m"]
+    assert [c.label for c in second.columns] == ["cm", "cn", "g1@m", "g2@m"]
+    assert all(dict(step.assessments).get("g1@m") is None
+               for step in second.steps)
+    moved = [dict(step.assessments)["g2@m"] for step in second.steps
+             if "g2@m" in dict(step.assessments)]
+    assert moved[-1] == graded(BOT, S)
+    header = render_table(second).splitlines()[0]
+    assert "g1@m" in header and "g2@m" in header
+    text = "".join(to_json_lines(trace) for trace in result.traces)
+    final = {entry.claim.label: asmt.to_json(entry.assessment)
+             for table in result.state.nodes.values()
+             for entry in table.entries.values()}
+    assert "g1@m" not in final
+    assert replay_json_lines(text, scenario.kind) == final
+    report = write_report(scenario, result)
+    assert "  g1@m@m = (retracted)\n" in report
+    assert "  g2@m@m = ⟨⊥,s⟩\n" in report
+
