@@ -11,6 +11,7 @@ later fields are not checked.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -284,6 +285,20 @@ def _parse_graph(raw: Any, diags: list[str]) -> tuple[EvaluationGraph, list[str]
     return graph, program_nodes + aux_nodes
 
 
+def _check_label(where: str, label: str, used: set[str],
+                 nodes: frozenset[str]) -> None:
+    """Trace cells are keyed by label, so a label names one claim per run:
+    it must not be in ``used`` and must not take a form the engine gives
+    the claims it generates (g<n>@<node>) or introduces (r<n>@<node>)."""
+    if label in used:
+        raise _Reject(f"{where}: label {label!r} is already in use")
+    minted = re.fullmatch(r"[gr][0-9]+@(.*)", label, re.DOTALL)
+    if minted is not None and minted.group(1) in nodes:
+        raise _Reject(f"{where}: label {label!r} has the form the engine gives "
+                      "generated (g<n>@<node>) and introduced (r<n>@<node>) "
+                      "claims")
+
+
 def _parse_claims(raw: Any, nodes: frozenset[str], kind: asmt.DomainKind,
                   diags: list[str]) -> tuple[Claim, ...]:
     labels: set[str] = set()
@@ -296,8 +311,7 @@ def _parse_claims(raw: Any, nodes: frozenset[str], kind: asmt.DomainKind,
         key = _attempt(where, lambda: canonicalize_claim(text), EmptyClaim)
         label = _string(item, "label", f"{where}: label", empty=False,
                         null=True) or key
-        if label in labels:
-            raise _Reject(f"{where}: label {label!r} is already in use")
+        _check_label(where, label, labels, nodes)
         if (node, key) in keys:
             raise _Reject(f"{where}: claim {key!r} is already seeded at {node!r}")
         if "assessment" in item:
@@ -460,8 +474,10 @@ def _parse_script(raw: Any, nodes: frozenset[str], kind: asmt.DomainKind,
     return tuple(_each(raw, "agent.script", diags, entry))
 
 
-def _parse_revision(raw: Any, nodes: frozenset[str], diags: list[str]
+def _parse_revision(raw: Any, nodes: frozenset[str], labels: set[str],
+                    diags: list[str]
                     ) -> tuple[EpochConfig, RevisionLimits, tuple[BoundedMove, ...]]:
+    """``labels`` holds the seeded labels; introduced labels join it."""
     raw = _object({} if raw is None else raw, "revision section", diags)
     epoch_limit = _number(raw, "epoch_limit", "revision.epoch_limit", 1, low=1,
                           diags=diags)
@@ -508,6 +524,9 @@ def _parse_revision(raw: Any, nodes: frozenset[str], diags: list[str]
         if not isinstance(reason, str) or (label is not None
                                            and not isinstance(label, str)):
             raise _Reject(f"{where}: reason and label must be strings")
+        if action == "introduce" and label is not None:
+            _check_label(where, label, labels, nodes)
+            labels.add(label)
         return BoundedMove(after_step=after_step, node=node, action=action,
                            claim=claim, text=text, reason=reason, label=label)
 
@@ -620,8 +639,8 @@ def parse_scenario(data: Any, *, path: Path | None = None) -> Scenario:
     agent = AgentConfig(backend=backend, entries=entries, endpoint=endpoint,
                         timeout=float(timeout), retries=retries)
 
-    epochs, limits, bounded_moves = _parse_revision(data.get("revision"),
-                                                    nodes, diags)
+    epochs, limits, bounded_moves = _parse_revision(
+        data.get("revision"), nodes, {c.label for c in claims}, diags)
 
     context = _object(data.get("context", {}), "context", diags)
     excerpt_cap = _number(context, "excerpt_cap", "context.excerpt_cap",

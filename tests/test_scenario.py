@@ -170,6 +170,42 @@ def test_duplicate_claim_label_rejected():
     assert_flagged(data, "label 'cm' is already in use")
 
 
+@pytest.mark.parametrize("label, text", [
+    ("g1@m", "Claim at m holds"),
+    ("r2@n", "Claim at m holds"),
+    (None, "G1@m"),  # the label defaults to the canonical key
+])
+def test_seeded_label_of_a_minted_form_rejected(label, text):
+    data = base_data()
+    data["claims"][0].update(label=label, text=text)
+    assert_flagged(data, "claims[0]: label 'g1@m' has the form the engine "
+                   "gives" if label is None else
+                   f"claims[0]: label {label!r} has the form the engine gives")
+
+
+@pytest.mark.parametrize("label", ["g1@ghost", "gx@m", "g1@", "q1@m"])
+def test_label_like_a_minted_form_but_not_one_loads(label):
+    data = base_data()
+    data["claims"][0]["label"] = label
+    assert parse_scenario(data).claims[0].label == label
+
+
+@pytest.mark.parametrize("label, problem", [
+    ("cm", "is already in use"),
+    ("first", "is already in use"),
+    ("r1@n", "has the form the engine gives"),
+])
+def test_introduce_label_must_be_new(label, problem):
+    data = base_data()
+    data["revision"] = {"limits": {"introductions": 2}, "bounded_moves": [
+        {"after_step": 1, "node": "m", "action": "introduce",
+         "text": "A new claim", "label": "first"},
+        {"after_step": 2, "node": "n", "action": "introduce",
+         "text": "Another new claim", "label": label},
+    ]}
+    assert_flagged(data, f"revision.bounded_moves[1]: label {label!r} {problem}")
+
+
 def test_duplicate_claim_key_rejected():
     data = base_data()
     data["claims"].append({"node": "m", "text": "claim at M holds!",
