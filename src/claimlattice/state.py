@@ -155,12 +155,24 @@ def initial_state(
     kind: asmt.DomainKind,
     claims: Iterable[Claim] = (),
 ) -> AnalysisState:
-    """Bottom state over the graph with the seeded claims installed."""
-    nodes = {n: NodeState(entries={}) for n in sorted(graph.all_nodes)}
-    state = AnalysisState(kind=kind, nodes=nodes, evidence={})
+    """Bottom state over the graph with the seeded claims installed.
+
+    Builds each node's claim table once; the result and the errors equal
+    one ``insert_claim`` per claim."""
+    tables: dict[str, dict[str, ClaimEntry]] = {
+        n: {} for n in sorted(graph.all_nodes)}
+    bottom = asmt.bottom(kind)
     for claim in claims:
-        state = insert_claim(state, claim.node, claim)
-    return state
+        table = tables.get(claim.node)
+        if table is None:
+            raise UnknownNode(f"node {claim.node!r} is not part of this run")
+        if claim.key in table:
+            raise DuplicateClaim(
+                f"claim {claim.key!r} already present at node {claim.node!r}")
+        table[claim.key] = ClaimEntry(claim=claim, assessment=bottom,
+                                      evidence_ids=())
+    nodes = {n: NodeState(entries=table) for n, table in tables.items()}
+    return AnalysisState(kind=kind, nodes=nodes, evidence={})
 
 
 def _node_state(state: AnalysisState, node: str) -> NodeState:

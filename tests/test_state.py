@@ -96,6 +96,35 @@ def test_initial_state_covers_all_nodes(two_node):
     assert entry.evidence_ids == ()
 
 
+def _insert_each(graph, kind, claims):
+    """The reference: one insert_claim per claim on the bottom state."""
+    state = initial_state(graph, kind)
+    for claim in claims:
+        state = insert_claim(state, claim.node, claim)
+    return state
+
+
+@pytest.mark.parametrize("kind", list(asmt.DomainKind))
+def test_initial_state_equals_one_insert_per_claim(kind):
+    graph = chain_graph("a", "b", "c")
+    claims = [seeded_claim(node, f"claim {i} at {node}", f"c{i}{node}")
+              for i in range(3) for node in ("c", "a")]
+    state = initial_state(graph, kind, claims)
+    reference = _insert_each(graph, kind, claims)
+    assert state == reference
+    # Equal dicts may differ in order; the tables must not.
+    assert [list(t.entries) for t in state.nodes.values()] == [
+        list(t.entries) for t in reference.nodes.values()]
+    for bad, error in (
+            ([*claims, seeded_claim("zz", "lost claim")], UnknownNode),
+            ([*claims, seeded_claim("a", "Claim 1 at a!")], DuplicateClaim)):
+        with pytest.raises(error) as ours:
+            initial_state(graph, kind, bad)
+        with pytest.raises(error) as reference:
+            _insert_each(graph, kind, bad)
+        assert str(ours.value) == str(reference.value)
+
+
 def test_insert_claim_duplicate_rejected(two_node):
     graph, claims, state = two_node
     with pytest.raises(DuplicateClaim):
