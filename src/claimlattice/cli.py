@@ -6,7 +6,7 @@ problem found without running anything.
 
 Exit codes: 0 for a completed run (stabilized or epoch limit reached), 1 for
 bad input of any kind, 2 for a blown termination budget, 3 for an agent
-transport failure.
+transport failure, 4 for an engine bug (a failed runtime soundness check).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     AgentTransportError,
     BudgetExceeded,
     ClaimLatticeError,
+    InvariantViolation,
     NoScriptEntry,
     ParseError,
     ScenarioError,
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
 EXIT_TRANSPORT = 3
+EXIT_BUG = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,6 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     except AgentTransportError as exc:
         print(f"agent transport failure: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except InvariantViolation as exc:
+        print(f"engine bug: {exc}", file=sys.stderr)
+        return EXIT_BUG
     except ClaimLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -210,3 +210,18 @@ def test_huge_agent_timeout_is_transport_failure(timeout, tmp_path, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("agent transport failure: ")
+
+
+def test_invariant_violation_is_engine_bug_exit(monkeypatch, capsys):
+    from claimlattice import cli
+    from claimlattice.errors import InvariantViolation
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("step 3 at 'n_2' modified node 'n_1'")
+
+    monkeypatch.setattr(cli, "execute", broken)
+    code = cli.main(["run", str(GOLDEN)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUG == 4
+    assert captured.out == ""
+    assert captured.err == "engine bug: step 3 at 'n_2' modified node 'n_1'\n"
