@@ -287,9 +287,8 @@ def _parse_graph(raw: Any, diags: list[str]) -> tuple[EvaluationGraph, list[str]
 
 def _check_label(where: str, label: str, used: set[str],
                  nodes: frozenset[str]) -> None:
-    """Trace cells are keyed by label, so a label names one claim per run:
-    it must not be in ``used`` and must not take a form the engine gives
-    the claims it generates (g<n>@<node>) or introduces (r<n>@<node>)."""
+    """Trace cells are keyed by label, so a label must be unused and not of
+    a form the engine mints: g<n>@<node> (generated), r<n>@<node> (introduced)."""
     if label in used:
         raise _Reject(f"{where}: label {label!r} is already in use")
     minted = re.fullmatch(r"[gr][0-9]+@(.*)", label, re.DOTALL)

@@ -155,12 +155,9 @@ def initial_state(
     kind: asmt.DomainKind,
     claims: Iterable[Claim] = (),
 ) -> AnalysisState:
-    """Bottom state over the graph with the seeded claims installed.
-
-    Builds each node's claim table once; the result and the errors equal
-    one ``insert_claim`` per claim."""
-    tables: dict[str, dict[str, ClaimEntry]] = {
-        n: {} for n in sorted(graph.all_nodes)}
+    """Bottom state over the graph with the seeded claims installed; equal,
+    errors included, to one ``insert_claim`` per claim."""
+    tables: dict[str, dict[str, ClaimEntry]] = {n: {} for n in graph.all_nodes}
     bottom = asmt.bottom(kind)
     for claim in claims:
         table = tables.get(claim.node)
@@ -169,9 +166,8 @@ def initial_state(
         if claim.key in table:
             raise DuplicateClaim(
                 f"claim {claim.key!r} already present at node {claim.node!r}")
-        table[claim.key] = ClaimEntry(claim=claim, assessment=bottom,
-                                      evidence_ids=())
-    nodes = {n: NodeState(entries=table) for n, table in tables.items()}
+        table[claim.key] = ClaimEntry(claim, bottom, evidence_ids=())
+    nodes = {n: NodeState(entries=tables[n]) for n in sorted(tables)}
     return AnalysisState(kind=kind, nodes=nodes, evidence={})
 
 

@@ -5,12 +5,9 @@ per step, one column per claim, a join column, the worklist after the step)
 and machine-readable JSON lines. The JSON form carries every join with its
 operands, so a trace can be replayed from its first row and checked against
 the final state bit for bit.
-
-Both are written from per-row changes. A keyframe (the init and revision
-rows, which have no node) holds every cell; a node row holds only the cells
-of its node's columns that differ from the previous row. By the frame
-property no other cell can differ, so writing, rendering and replaying a
-row costs what it changed, not the number of columns.
+Both are written from per-row changes: a keyframe (an init or revision row,
+which has no node) holds every cell, and a node row only the cells of its
+node's columns that changed. By the frame property no other cell can.
 """
 
 from __future__ import annotations
@@ -48,12 +45,8 @@ class ClaimColumn:
 class ColumnRegistry:
     """Stable claim-column order: seeded claims first (declaration order),
     then generated claims as they appear. Shared across epochs so tables
-    stay aligned.
-
-    A slot (node, claim key) whose claim was retracted can later hold a
-    claim with another label. That label gets a column of its own, and the
-    old column is retired: its key becomes "", which no canonical claim key
-    equals, so it reads as absent from then on."""
+    stay aligned. A slot that gets a new label (its claim was retracted)
+    retires the old column: its key becomes "", which no claim key equals."""
 
     def __init__(self):
         self._columns: list[ClaimColumn] = []
@@ -141,12 +134,9 @@ def _worklist_cell(members: tuple[str, ...]) -> str:
 
 
 def _row_cells(trace: RunTrace) -> Iterator[tuple[TraceStep, Sequence[int]]]:
-    """Each step with the positions of the cells its row stores.
-
-    A keyframe (``node is None``) stores every cell. A node row stores the
-    cells of its node's columns whose value differs from the previous row,
-    where a column the previous row lacks counts as None.
-    """
+    """Each step with the positions of the cells its row stores: every cell
+    for a keyframe; for a node row, its node's cells that differ from the
+    previous row, where a column the previous row lacks counts as None."""
     positions: dict[str, list[int]] = {}
     for i, column in enumerate(trace.columns):
         positions.setdefault(column.node, []).append(i)
@@ -164,67 +154,51 @@ def _row_cells(trace: RunTrace) -> Iterator[tuple[TraceStep, Sequence[int]]]:
 
 def render_table(trace: RunTrace) -> str:
     """Fixed-width text table, one row per step. Unchanged claim cells print
-    a middle dot; claims that do not exist print a dash."""
+    a middle dot; claims that do not exist print a dash. A row pads only the
+    cells it stores, over a running base of dots and dashes."""
     labels = [c.label for c in trace.columns]
     header = ["Step", "Node", "Action", *labels, "Join", "W after step"]
     widths = [len(h) for h in header]
-    first = 3  # position of the first claim column
+    fixed = (0, 1, 2, -2, -1)  # the columns that are not claims
     values: list = [None] * len(labels)
-    # Per row: the leading cells, the claim cells it prints as
-    # (column, text, claim exists), and the trailing cells.
-    rows: list[tuple[list[str], list[tuple[int, str, bool]], list[str]]] = []
+    rows: list[tuple[list[str], list[tuple[int, str]]]] = []
     for step, cells in _row_cells(trace):
         printed = []
         for i in cells:
             value = step.assessments[i][1]
-            if value is None:
-                text = "-"
-            elif rows and value == values[i]:
-                text = "·"
-            else:
-                text = asmt.pretty(value)
+            text = ("-" if value is None else "·" if rows and value == values[i]
+                    else asmt.pretty(value))
             values[i] = value
-            printed.append((i, text, value is not None))
-            widths[first + i] = max(widths[first + i], len(text))
-        head = [str(step.index), step.node or "-", step.action]
-        tail = [_join_cell(step), _worklist_cell(step.worklist_after)]
-        rows.append((head, printed, tail))
-        for i, cell in enumerate(head + tail):
-            column = i if i < first else i + len(labels)
+            printed.append((i, text))
+            widths[3 + i] = max(widths[3 + i], len(text))
+        row = [str(step.index), step.node or "-", step.action,
+               _join_cell(step), _worklist_cell(step.worklist_after)]
+        for column, cell in zip(fixed, row):
             widths[column] = max(widths[column], len(cell))
+        rows.append((row, printed))
 
-    def pad(cells: list[str], offset: int) -> list[str]:
-        return [cell.ljust(widths[offset + i]) for i, cell in enumerate(cells)]
-
-    claim_widths = widths[first:first + len(labels)]
-    dots = ["·".ljust(w) for w in claim_widths]
-    dashes = ["-".ljust(w) for w in claim_widths]
+    dots = ["·".ljust(w) for w in widths[3:-2]]
+    dashes = ["-".ljust(w) for w in widths[3:-2]]
     base = dashes.copy()
-    tail_offset = first + len(labels)
-    lines = [" | ".join(pad(header, 0)).rstrip(),
+    lines = [" | ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip(),
              "-+-".join("-" * w for w in widths)]
-    for head, printed, tail in rows:
+    for row, printed in rows:
+        padded = [cell.ljust(widths[column]) for column, cell in zip(fixed, row)]
         claims = base.copy()
-        for i, text, exists in printed:
-            claims[i] = text.ljust(claim_widths[i])
-            base[i] = dots[i] if exists else dashes[i]
-        lines.append(" | ".join(
-            pad(head, 0) + claims + pad(tail, tail_offset)).rstrip())
+        for i, text in printed:
+            claims[i] = text.ljust(widths[3 + i])
+            base[i] = dashes[i] if text == "-" else dots[i]
+        lines.append(" | ".join(padded[:3] + claims + padded[3:]).rstrip())
     return "\n".join(lines) + "\n"
 
 
-def _cell_json(value: asmt.Assessment | None):
-    return asmt.to_json(value) if value is not None else None
-
-
 def to_json_lines(trace: RunTrace) -> str:
-    """One JSON object per row. A keyframe stores every cell under
-    ``assessments`` and states the ``schema``; a node row stores only its
-    ``changed`` cells."""
+    """One JSON object per row: a keyframe stores every cell under
+    ``assessments`` and its ``schema``, a node row its ``changed`` cells."""
     out = []
     for step, cells in _row_cells(trace):
-        stored = {step.assessments[i][0]: _cell_json(step.assessments[i][1])
-                  for i in cells}
+        stored = {label: None if value is None else asmt.to_json(value)
+                  for label, value in (step.assessments[i] for i in cells)}
         payload = {
             "step": step.index,
             "epoch": trace.epoch,
@@ -248,8 +222,7 @@ def to_json_lines(trace: RunTrace) -> str:
             "diagnostics": list(step.diagnostics),
         }
         if step.node is None:
-            payload["assessments"] = stored
-            payload["schema"] = SCHEMA
+            payload.update(assessments=stored, schema=SCHEMA)
         else:
             payload["changed"] = stored
         out.append(json.dumps(payload, ensure_ascii=False, sort_keys=True))
@@ -259,15 +232,13 @@ def to_json_lines(trace: RunTrace) -> str:
 def replay_json_lines(text: str, kind: asmt.DomainKind) -> dict[str, list]:
     """Re-derive the final assessments from a JSON trace.
 
-    Each keyframe sets every cell. Each node row folds its joins from there:
-    a join's old value must be the claim's replayed value (bottom for a
-    claim not seen since the keyframe), and old ⊔ contributed must be the
-    recorded new value. The row's ``changed`` cells must be exactly what its
-    joins imply: every claim with a column that a join moved, and every
-    claim it inserted, at their new values. A join on a claim without a
-    column folds without a cell. Rows are split on "\n" only, since labels
-    may hold other line separators. Returns the final label ->
-    serialized-assessment map. Raises ScenarioError on any drift.
+    Folds every join from the last keyframe, checking that old values chain
+    (a claim unseen since the keyframe starts at bottom), that old ⊔
+    contributed is the recorded new value, and that a row's ``changed`` is
+    exactly the claims with a column that a join moved plus those it
+    inserted, at their new values. Rows split on "\n" only: labels may hold
+    other line separators. Returns the final label -> serialized-assessment
+    map. Raises ScenarioError on any drift.
     """
     bottom = asmt.to_json(asmt.bottom(kind))
     values: dict[str, list] = {}

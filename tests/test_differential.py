@@ -6,8 +6,9 @@ the rendered table, the JSON trace and the evidence log; runs through
 and the status. A run that raises is recorded as its exception type and
 message. Each JSON trace is hashed through ``expand_json_lines``, which
 rebuilds every row's full ``assessments`` map, so the hashes pin the cells
-a trace implies, not how it stores them. Goal-directed ordering is left out: its traces follow the probe
-rule, which ``test_worklist`` checks on its own. A ``ctx/`` entry per run
+a trace implies, not how it stores them. Goal-directed ordering is left
+out: its traces follow the probe rule, which ``test_worklist`` checks on
+its own. A ``ctx/`` entry per run
 hashes the ``repr`` of every prompt context its steps built, so a wrong
 upstream finding or excerpt moves a hash even though the scripted agent
 never reads the context.
