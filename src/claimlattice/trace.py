@@ -5,6 +5,7 @@ per step, one column per claim, a join column, the worklist after the step)
 and machine-readable JSON lines. The JSON form carries every join with its
 operands, so a trace can be replayed from its first row and checked against
 the final state bit for bit.
+
 Both are written from per-row changes: a keyframe (an init or revision row,
 which has no node) holds every cell, and a node row only the cells of its
 node's columns that changed. By the frame property no other cell can.
@@ -236,7 +237,7 @@ def replay_json_lines(text: str, kind: asmt.DomainKind) -> dict[str, list]:
     (a claim unseen since the keyframe starts at bottom), that old ⊔
     contributed is the recorded new value, and that a row's ``changed`` is
     exactly the claims with a column that a join moved plus those it
-    inserted, at their new values. Rows split on "\n" only: labels may hold
+    inserted, at their new values. Rows split on "\\n" only: labels may hold
     other line separators. Returns the final label -> serialized-assessment
     map. Raises ScenarioError on any drift.
     """

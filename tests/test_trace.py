@@ -7,10 +7,10 @@ import pytest
 
 from claimlattice import assessment as asmt
 from claimlattice.agent import EvalScript, GenScript, ScriptEntry, ScriptedAgent
-from claimlattice.cli import execute
+from claimlattice.cli import execute, write_report
 from claimlattice.errors import ScenarioError
 from claimlattice.queries import EvalQuery, GenQuery, QuerySpec
-from claimlattice.scenario import load_scenario
+from claimlattice.scenario import load_scenario, parse_scenario
 from claimlattice.state import initial_state
 from claimlattice.trace import (
     SCHEMA,
@@ -30,6 +30,8 @@ from claimlattice.worklist import (
 
 from conftest import GOLDEN, chain_graph, plain_queries, seeded_claim
 from genutil import generate_scenario
+from test_differential import cli_scenarios
+from test_scenario import base_data
 
 W = asmt.Strength.WEAK
 S = asmt.Strength.STRONG
@@ -268,8 +270,6 @@ def test_changed_cells_are_moving_joins_plus_insertions(policy_name):
 
 
 def test_keyframes_only_at_init_and_revision_rows():
-    from test_differential import cli_scenarios
-    from claimlattice.scenario import parse_scenario
     actions = set()
     for data in cli_scenarios().values():
         result = execute(parse_scenario(data))
@@ -305,9 +305,6 @@ def test_regenerated_claim_gets_its_own_column():
     # m generates claim x as g1@m, the epoch-1 plan retracts it, and epoch 2
     # generates it again as g2@m. The slot (m, "claim x") then holds another
     # label, so g2@m gets a column and g1@m's column reads nothing.
-    from claimlattice.cli import write_report
-    from claimlattice.scenario import parse_scenario
-    from test_scenario import base_data
     data = base_data()
     data["queries"] = {"gen": [{"node": "m", "id": "more", "template": "t",
                                 "max_claims": 1}]}
