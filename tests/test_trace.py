@@ -244,17 +244,24 @@ def _expected_changed(previous, step):
     return {label: asmt.to_json(value) for label, value in cells.items()}
 
 
-@pytest.mark.parametrize("policy_name", ["fifo", "lifo", "wto", "feedback-priority"])
+GENERATED_POLICIES = ["fifo", "lifo", "wto", "feedback-priority"]
+
+
+def _run_generated(gen, policy_name, **extra):
+    return run(
+        gen.graph, gen.fresh_state(),
+        goal="the goal", queries=gen.queries, backend=gen.fresh_backend(),
+        caps=gen.caps, policy=parse_policy(policy_name),
+        budget=TerminationBudget.for_run(gen.kind, gen.caps,
+                                         sorted(gen.graph.all_nodes)),
+        declared_order=gen.declared_order, **extra)
+
+
+@pytest.mark.parametrize("policy_name", GENERATED_POLICIES)
 def test_changed_cells_are_moving_joins_plus_insertions(policy_name):
     for seed in range(200):
         gen = generate_scenario(seed, visit_sensitive=True)
-        result = run(
-            gen.graph, gen.fresh_state(),
-            goal="the goal", queries=gen.queries, backend=gen.fresh_backend(),
-            caps=gen.caps, policy=parse_policy(policy_name),
-            budget=TerminationBudget.for_run(gen.kind, gen.caps,
-                                             sorted(gen.graph.all_nodes)),
-            declared_order=gen.declared_order)
+        result = _run_generated(gen, policy_name)
         steps = result.trace.steps
         text = to_json_lines(result.trace)
         rows = [json.loads(line) for line in text.split("\n") if line]
@@ -267,6 +274,42 @@ def test_changed_cells_are_moving_joins_plus_insertions(policy_name):
                  for table in result.state.nodes.values()
                  for entry in table.entries.values()}
         assert replay_json_lines(text, gen.kind) == final
+
+
+def _full_row(columns, state):
+    """Reference row: every claim column read from the live state, in column
+    order, None where the claim does not exist."""
+    cells = []
+    for column in columns.columns:
+        entry = state.nodes[column.node].entries.get(column.key)
+        cells.append((column.label, entry.assessment if entry else None))
+    return tuple(cells)
+
+
+class _FullRowRecorder:
+    """A ``mid_run`` hook that records the full row after every step and
+    changes nothing."""
+
+    def __init__(self, columns):
+        self.columns = columns
+        self.rows = {}
+
+    def after_step(self, state, step_index, epoch):
+        self.rows[step_index] = _full_row(self.columns, state)
+
+
+@pytest.mark.parametrize("policy_name", GENERATED_POLICIES)
+def test_row_view_equals_full_column_read(policy_name):
+    for seed in range(200):
+        gen = generate_scenario(seed, visit_sensitive=True)
+        columns = ColumnRegistry()
+        recorder = _FullRowRecorder(columns)
+        result = _run_generated(gen, policy_name, columns=columns,
+                                mid_run=recorder)
+        node_steps = result.trace.steps[1:]
+        assert [step.index for step in node_steps] == list(recorder.rows)
+        for step in node_steps:
+            assert step.assessments == recorder.rows[step.index], seed
 
 
 def test_keyframes_only_at_init_and_revision_rows():
