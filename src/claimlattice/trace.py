@@ -6,16 +6,15 @@ and machine-readable JSON lines. The JSON form carries every join with its
 operands, so a trace can be replayed from its first row and checked against
 the final state bit for bit.
 
-Both are written from per-row changes: a keyframe (an init or revision row,
-which has no node) holds every cell, and a node row only the cells of its
-node's columns that changed. By the frame property no other cell can.
+Each row stores its changes: a keyframe (an init or revision row, which has
+no node) holds every cell, and a node row only the cells its step changed.
+By the frame property those are all cells of the row's own node.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
 
 from . import assessment as asmt
 from .errors import ScenarioError
@@ -63,6 +62,11 @@ class ColumnRegistry:
         self._slots[slot] = len(self._columns)
         self._columns.append(ClaimColumn(label=label, node=node, key=key))
 
+    def holds(self, label: str, node: str, key: str) -> bool:
+        """Whether ``label`` has the live column of slot (node, key)."""
+        index = self._slots.get((node, key))
+        return index is not None and self._columns[index].label == label
+
     @property
     def columns(self) -> tuple[ClaimColumn, ...]:
         return tuple(self._columns)
@@ -76,6 +80,8 @@ class JoinRecord:
     old: asmt.Assessment
     contributed: asmt.Assessment
     new: asmt.Assessment
+    evidence_added: tuple[str, ...] = ()
+    inserted: bool = False
 
     @property
     def absorbed(self) -> bool:
@@ -91,18 +97,34 @@ class JoinRecord:
 @dataclass(frozen=True)
 class TraceStep:
     index: int
-    epoch: int
     node: str | None
     action: str
-    # (label, assessment) for every claim column, in column order; None value
-    # marks a claim that does not exist (yet, or any more) at this step.
-    assessments: tuple[tuple[str, asmt.Assessment | None], ...]
+    # (label, assessment) pairs this row stores: every claim column, in
+    # column order, for a keyframe (None marks a claim that does not exist);
+    # the cells its step changed for a node row.
+    cells: tuple[tuple[str, asmt.Assessment | None], ...]
     joins: tuple[JoinRecord, ...]
     worklist_after: tuple[str, ...]
     ac_changed: bool
     evidence_only: bool = False
     diagnostics: tuple[str, ...] = ()
     enqueued: tuple[tuple[str, str], ...] = ()  # (node, cause) audit
+    previous: TraceStep | None = field(default=None, compare=False,
+                                       repr=False)
+
+    @property
+    def assessments(self) -> tuple[tuple[str, asmt.Assessment | None], ...]:
+        """Every claim column at this step, in column order: the last
+        keyframe with the rows after it folded on."""
+        rows = []
+        step = self
+        while step.node is not None:
+            rows.append(step.cells)
+            step = step.previous
+        cells = dict(step.cells)
+        for changed in reversed(rows):
+            cells.update(changed)
+        return tuple(cells.items())
 
 
 @dataclass
@@ -134,25 +156,6 @@ def _worklist_cell(members: tuple[str, ...]) -> str:
     return "{" + ", ".join(members) + "}"
 
 
-def _row_cells(trace: RunTrace) -> Iterator[tuple[TraceStep, Sequence[int]]]:
-    """Each step with the positions of the cells its row stores: every cell
-    for a keyframe; for a node row, its node's cells that differ from the
-    previous row, where a column the previous row lacks counts as None."""
-    positions: dict[str, list[int]] = {}
-    for i, column in enumerate(trace.columns):
-        positions.setdefault(column.node, []).append(i)
-    previous: tuple = ()
-    for step in trace.steps:
-        current = step.assessments
-        if step.node is None:
-            yield step, range(len(current))
-        else:
-            yield step, [
-                i for i in positions.get(step.node, ()) if i < len(current)
-                and current[i][1] != (previous[i][1] if i < len(previous) else None)]
-        previous = current
-
-
 def render_table(trace: RunTrace) -> str:
     """Fixed-width text table, one row per step. Unchanged claim cells print
     a middle dot; claims that do not exist print a dash. A row pads only the
@@ -161,12 +164,13 @@ def render_table(trace: RunTrace) -> str:
     header = ["Step", "Node", "Action", *labels, "Join", "W after step"]
     widths = [len(h) for h in header]
     fixed = (0, 1, 2, -2, -1)  # the columns that are not claims
+    position = {label: i for i, label in enumerate(labels)}
     values: list = [None] * len(labels)
     rows: list[tuple[list[str], list[tuple[int, str]]]] = []
-    for step, cells in _row_cells(trace):
+    for step in trace.steps:
         printed = []
-        for i in cells:
-            value = step.assessments[i][1]
+        for label, value in step.cells:
+            i = position[label]
             text = ("-" if value is None else "·" if rows and value == values[i]
                     else asmt.pretty(value))
             values[i] = value
@@ -197,9 +201,9 @@ def to_json_lines(trace: RunTrace) -> str:
     """One JSON object per row: a keyframe stores every cell under
     ``assessments`` and its ``schema``, a node row its ``changed`` cells."""
     out = []
-    for step, cells in _row_cells(trace):
+    for step in trace.steps:
         stored = {label: None if value is None else asmt.to_json(value)
-                  for label, value in (step.assessments[i] for i in cells)}
+                  for label, value in step.cells}
         payload = {
             "step": step.index,
             "epoch": trace.epoch,

@@ -28,26 +28,11 @@ from .state import (
     mint_evidence,
     record_update,
 )
+from .trace import JoinRecord
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ClaimUpdate", "StepReport", "process_node"]
-
-
-@dataclass(frozen=True)
-class ClaimUpdate:
-    node: str
-    key: str
-    label: str
-    old: asmt.Assessment
-    contributed: asmt.Assessment
-    new: asmt.Assessment
-    evidence_added: tuple[str, ...]
-    inserted: bool
-
-    @property
-    def absorbed(self) -> bool:
-        return self.new == self.old
+__all__ = ["StepReport", "process_node"]
 
 
 @dataclass(frozen=True)
@@ -57,7 +42,7 @@ class StepReport:
     node: str
     visit: int
     action: str
-    updates: tuple[ClaimUpdate, ...]
+    updates: tuple[JoinRecord, ...]
     generated: tuple[str, ...]
     discarded: tuple[str, ...]
     skipped_duplicates: tuple[str, ...]
@@ -102,7 +87,7 @@ def process_node(
     visit = backend.begin_node_visit(node)
 
     working = state
-    updates: list[ClaimUpdate] = []
+    updates: list[JoinRecord] = []
     diagnostics: list[str] = []
     action: str | None = None
 
@@ -127,7 +112,7 @@ def process_node(
         working = record_update(working, node, claim.key,
                                 result.assessment, records)
         new = working.nodes[node].entries[claim.key].assessment
-        updates.append(ClaimUpdate(
+        updates.append(JoinRecord(
             node=node,
             key=claim.key,
             label=claim.label,

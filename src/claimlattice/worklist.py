@@ -24,7 +24,7 @@ from .errors import BudgetExceeded, InvariantViolation, ScenarioError, UnknownNo
 from .graph import EvaluationGraph, extended_predecessors, extended_successors
 from .queries import DEFAULT_EXCERPT_CAP, QuerySpec
 from .state import AnalysisState, assessment_projection
-from .trace import ColumnRegistry, JoinRecord, RunTrace, TraceStep
+from .trace import ColumnRegistry, RunTrace, TraceStep
 from .transformer import process_node
 
 log = logging.getLogger(__name__)
@@ -353,8 +353,8 @@ class RunResult:
     trigger_events: int
 
 
-def _column_snapshot(columns: ColumnRegistry,
-                     state: AnalysisState) -> tuple[tuple[str, asmt.Assessment | None], ...]:
+def _keyframe_cells(columns: ColumnRegistry,
+                    state: AnalysisState) -> tuple[tuple[str, asmt.Assessment | None], ...]:
     cells = []
     for column in columns.columns:
         entry = state.nodes[column.node].entries.get(column.key)
@@ -417,10 +417,9 @@ def run(
     trace = RunTrace(epoch=epoch)
     trace.steps.append(TraceStep(
         index=0,
-        epoch=epoch,
         node=None,
         action="init" if epoch == 1 else "revision",
-        assessments=_column_snapshot(columns, state),
+        cells=_keyframe_cells(columns, state),
         joins=(),
         worklist_after=worklist.members(),
         ac_changed=False,
@@ -502,25 +501,28 @@ def run(
                     probed.add(pred)
                     enqueued.append((pred, "goal_probe"))
 
+        # The row stores what the step changed: each inserted claim, and each
+        # moving join on a claim that has a column. A claim whose first
+        # evaluation failed has none until the next keyframe.
         for update in report.updates:
             if update.inserted:
                 columns.add(update.label, node, update.key)
+        cells = tuple((u.label, u.new) for u in report.updates
+                      if u.inserted or (not u.absorbed
+                                        and columns.holds(u.label, node, u.key)))
 
         trace.steps.append(TraceStep(
             index=steps_done,
-            epoch=epoch,
             node=node,
             action=report.action,
-            assessments=_column_snapshot(columns, state),
-            joins=tuple(JoinRecord(
-                node=u.node, key=u.key, label=u.label,
-                old=u.old, contributed=u.contributed, new=u.new,
-            ) for u in report.updates),
+            cells=cells,
+            joins=report.updates,
             worklist_after=worklist.members(),
             ac_changed=ac_changed,
             evidence_only=report.evidence_only_change,
             diagnostics=report.diagnostics,
             enqueued=tuple(enqueued),
+            previous=trace.steps[-1],
         ))
 
         if mid_run is not None:
@@ -535,10 +537,9 @@ def run(
                         revision_enqueued.append((woken, "revision"))
                 trace.steps.append(TraceStep(
                     index=steps_done,
-                    epoch=epoch,
                     node=None,
                     action="revision",
-                    assessments=_column_snapshot(columns, state),
+                    cells=_keyframe_cells(columns, state),
                     joins=(),
                     worklist_after=worklist.members(),
                     ac_changed=False,

@@ -308,8 +308,11 @@ def test_row_view_equals_full_column_read(policy_name):
                                 mid_run=recorder)
         node_steps = result.trace.steps[1:]
         assert [step.index for step in node_steps] == list(recorder.rows)
-        for step in node_steps:
+        for step, row in zip(node_steps, _rows(result)[1:]):
             assert step.assessments == recorder.rows[step.index], seed
+            assert dict(step.cells) == {
+                label: asmt.from_json(gen.kind, value)
+                for label, value in row["changed"].items()}, seed
 
 
 def test_keyframes_only_at_init_and_revision_rows():
