@@ -243,47 +243,53 @@ def replay_json_lines(text: str, kind: asmt.DomainKind) -> dict[str, list]:
     exactly the claims with a column that a join moved plus those it
     inserted, at their new values. Rows split on "\\n" only: labels may hold
     other line separators. Returns the final label -> serialized-assessment
-    map. Raises ScenarioError on any drift.
+    map. Raises ScenarioError on any drift, and on a malformed row with
+    its 1-based line number.
     """
     bottom = asmt.to_json(asmt.bottom(kind))
     values: dict[str, list] = {}
     columns: set[str] = set()
-    for line in text.split("\n"):
+    for number, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
-        step = json.loads(line)
-        if step["node"] is None:
-            columns = set(step["assessments"])
-            values = {label: value
-                      for label, value in step["assessments"].items()
-                      if value is not None}
-            continue
-        if "changed" not in step:
-            raise ScenarioError(
-                f"step {step['step']} has no 'changed' cells; replay reads "
-                f"trace schema {SCHEMA}, whose node rows store only those")
-        changed = step["changed"]
-        implied: dict[str, list] = {}
-        for join_rec in step["joins"]:
-            label = join_rec["label"]
-            old = asmt.from_json(kind, join_rec["old"])
-            contributed = asmt.from_json(kind, join_rec["contributed"])
-            new = asmt.from_json(kind, join_rec["new"])
-            if asmt.join(old, contributed) != new:
+        try:
+            step = json.loads(line)
+            if step["node"] is None:
+                columns = set(step["assessments"])
+                values = {label: value
+                          for label, value in step["assessments"].items()
+                          if value is not None}
+                continue
+            if "changed" not in step:
                 raise ScenarioError(
-                    f"step {step['step']} records a join that does not hold "
-                    f"for {label}")
-            chained = values.get(label, bottom)
-            if asmt.from_json(kind, chained) != old:
+                    f"step {step['step']} has no 'changed' cells; replay reads "
+                    f"trace schema {SCHEMA}, whose node rows store only those")
+            changed = step["changed"]
+            implied: dict[str, list] = {}
+            for join_rec in step["joins"]:
+                label = join_rec["label"]
+                old = asmt.from_json(kind, join_rec["old"])
+                contributed = asmt.from_json(kind, join_rec["contributed"])
+                new = asmt.from_json(kind, join_rec["new"])
+                if asmt.join(old, contributed) != new:
+                    raise ScenarioError(
+                        f"step {step['step']} records a join that does not "
+                        f"hold for {label}")
+                chained = values.get(label, bottom)
+                if asmt.from_json(kind, chained) != old:
+                    raise ScenarioError(
+                        f"step {step['step']} join for {label} starts from "
+                        f"{join_rec['old']} but the replayed value is {chained}")
+                values[label] = join_rec["new"]
+                if (new != old) if label in columns else label in changed:
+                    implied[label] = join_rec["new"]
+            if changed != implied:
                 raise ScenarioError(
-                    f"step {step['step']} join for {label} starts from "
-                    f"{join_rec['old']} but the replayed value is {chained}")
-            values[label] = join_rec["new"]
-            if (new != old) if label in columns else label in changed:
-                implied[label] = join_rec["new"]
-        if changed != implied:
-            raise ScenarioError(
-                f"step {step['step']} records changed cells {changed} but "
-                f"its joins imply {implied}")
-        columns.update(changed)
+                    f"step {step['step']} records changed cells {changed} but "
+                    f"its joins imply {implied}")
+            columns.update(changed)
+        except (AttributeError, KeyError, TypeError, ValueError,
+                RecursionError) as exc:
+            raise ScenarioError(f"trace line {number} is not a valid row: "
+                                f"{type(exc).__name__}: {exc}") from None
     return values

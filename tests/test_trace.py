@@ -187,6 +187,36 @@ def test_replay_rejects_schema_1_rows():
         _replay_rows(rows)
 
 
+def _malformed(case):
+    rows = [json.dumps(row) for row in _rows(small_run())]
+    if case == "not an object":
+        return "[1]\n", 1
+    if case == "truncated row":
+        return '{"step": 1\n', 1
+    if case == "keyframe without cells":
+        return '{"node": null}\n', 1
+    row = json.loads(rows[1])
+    if case == "row without joins":
+        del row["joins"]
+    elif case == "join without old":
+        del row["joins"][0]["old"]
+    else:
+        keyframe = json.loads(rows[0])
+        keyframe["assessments"]["cm"] = 1
+        rows[0] = json.dumps(keyframe)
+    rows[1] = json.dumps(row)
+    return "\n".join(rows), 2
+
+
+@pytest.mark.parametrize("case", [
+    "not an object", "truncated row", "keyframe without cells",
+    "row without joins", "join without old", "cell of 1"])
+def test_replay_rejects_malformed_rows_by_line(case):
+    text, line = _malformed(case)
+    with pytest.raises(ScenarioError, match=f"trace line {line} is not a valid row"):
+        replay_json_lines(text, asmt.DomainKind.GRADED)
+
+
 def test_label_with_line_separator_replays():
     result = small_run(label_m="c\u2028m")
     text = to_json_lines(result.trace)
