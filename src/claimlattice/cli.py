@@ -146,10 +146,14 @@ def write_report(scenario: Scenario, result: EpochResult) -> str:
             rendered = "(retracted)"
         else:
             rendered = asmt.pretty(entry.assessment)
-        line = f"  {column.label}@{column.node} = {rendered}"
-        lines.append(line)
-        if scenario.goal_claim is not None and column.label == scenario.goal_claim:
-            goal_line = f"{column.label}@{column.node} = {rendered}"
+        # Engine-minted labels (g<n>@<node>, r<n>@<node>) name their node.
+        name = column.label
+        if not name.endswith(f"@{column.node}"):
+            name += f"@{column.node}"
+        line = f"{name} = {rendered}"
+        lines.append(f"  {line}")
+        if column.label == scenario.goal_claim:
+            goal_line = line
     lines.append("")
     if goal_line is not None:
         lines.append(goal_line)

@@ -410,6 +410,6 @@ def test_regenerated_claim_gets_its_own_column():
     assert "g1@m" not in final
     assert replay_json_lines(text, scenario.kind) == final
     report = write_report(scenario, result)
-    assert "  g1@m@m = (retracted)\n" in report
-    assert "  g2@m@m = ⟨⊥,s⟩\n" in report
+    assert "  g1@m = (retracted)\n" in report
+    assert "  g2@m = ⟨⊥,s⟩\n" in report
 
