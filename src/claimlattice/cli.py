@@ -140,19 +140,25 @@ def write_report(scenario: Scenario, result: EpochResult) -> str:
     ]
     goal_line = None
     registry = result.traces[-1].columns if result.traces else ()
-    for column in registry:
-        entry = result.state.nodes[column.node].entries.get(column.key)
-        if entry is None:
+    claims = [(c.label, c.node, result.state.nodes[c.node].entries.get(c.key))
+              for c in registry]
+    # Then the claims that have no column: a generated claim whose first
+    # evaluation failed gets one only at the next keyframe.
+    labels = {c.label for c in registry}
+    claims += [(entry.claim.label, node, entry)
+               for node, table in result.state.nodes.items()
+               for entry in table.entries.values()
+               if entry.claim.label not in labels]
+    for label, node, entry in claims:
+        if entry is None or entry.claim.label != label:
             rendered = "(retracted)"
         else:
             rendered = asmt.pretty(entry.assessment)
         # Engine-minted labels (g<n>@<node>, r<n>@<node>) name their node.
-        name = column.label
-        if not name.endswith(f"@{column.node}"):
-            name += f"@{column.node}"
+        name = label if label.endswith(f"@{node}") else f"{label}@{node}"
         line = f"{name} = {rendered}"
         lines.append(f"  {line}")
-        if column.label == scenario.goal_claim:
+        if label == scenario.goal_claim:
             goal_line = line
     lines.append("")
     if goal_line is not None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -377,21 +378,42 @@ def test_golden_json_trace_bytes_are_pinned():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_JSONL_SHA256
 
 
+# An answer in the four-valued domain, which a graded run refuses.
+WRONG_DOMAIN = asmt.FourValue(True, False)
+
+
+def _claim_x_scenario(answers, *, retract=False):
+    """base_data plus a gen query at m that proposes claim x, minted g1@m.
+    ``answers`` maps a visit of m (None: every other visit) to claim x's
+    assessment. ``retract`` adds a plan that retracts g1@m after epoch 1."""
+    data = base_data()
+    data["queries"] = {"gen": [{"node": "m", "id": "more", "template": "t",
+                                "max_claims": 1}]}
+    data["agent"]["script"].append(
+        {"node": "m", "gen": "more", "claims": ["Claim x"]})
+    refused = []
+    for visit, answer in answers.items():
+        if answer is WRONG_DOMAIN:
+            refused.append(ScriptEntry("m", "claim x", visit, EvalScript(answer)))
+            continue
+        entry = {"node": "m", "claim": "claim x", "assessment": answer}
+        if visit is not None:
+            entry["visit"] = visit
+        data["agent"]["script"].append(entry)
+    if retract:
+        data["revision"] = {"epoch_limit": 2, "plans": {"1": {"retractions": [
+            {"node": "m", "claim": "g1@m", "reason": "re-modeled"}]}}}
+    scenario = parse_scenario(data)
+    return replace(scenario, agent=replace(
+        scenario.agent, entries=scenario.agent.entries + tuple(refused)))
+
+
 def test_regenerated_claim_gets_its_own_column():
     # m generates claim x as g1@m, the epoch-1 plan retracts it, and epoch 2
     # generates it again as g2@m. The slot (m, "claim x") then holds another
     # label, so g2@m gets a column and g1@m's column reads nothing.
-    data = base_data()
-    data["queries"] = {"gen": [{"node": "m", "id": "more", "template": "t",
-                                "max_claims": 1}]}
-    data["agent"]["script"] += [
-        {"node": "m", "gen": "more", "claims": ["Claim x"]},
-        {"node": "m", "claim": "claim x", "visit": 0, "assessment": ["w", "bot"]},
-        {"node": "m", "claim": "claim x", "assessment": ["bot", "s"]},
-    ]
-    data["revision"] = {"epoch_limit": 2, "plans": {"1": {"retractions": [
-        {"node": "m", "claim": "g1@m", "reason": "re-modeled"}]}}}
-    scenario = parse_scenario(data)
+    scenario = _claim_x_scenario({0: ["w", "bot"], None: ["bot", "s"]},
+                                 retract=True)
     result = execute(scenario)
     first, second = result.traces
     assert [c.label for c in first.columns] == ["cm", "cn", "g1@m"]
@@ -413,3 +435,33 @@ def test_regenerated_claim_gets_its_own_column():
     assert "  g1@m = (retracted)\n" in report
     assert "  g2@m = ⟨⊥,s⟩\n" in report
 
+
+
+def test_report_lists_claims_without_a_column():
+    # g1@m's first evaluation is refused, so it has no column, but the final
+    # state holds it.
+    scenario = _claim_x_scenario({0: WRONG_DOMAIN, None: ["w", "bot"]})
+    result = execute(scenario)
+    assert [c.label for c in result.traces[-1].columns] == ["cm", "cn"]
+    report = write_report(scenario, result)
+    assert report.split("final assessments:\n")[1].startswith(
+        "  cm@m = ⟨w,⊥⟩\n  cn@n = ⟨⊥,w⟩\n  g1@m = ⊥²\n\n")
+
+
+def test_regenerated_claim_refused_at_first_keeps_the_old_column_empty():
+    # As in test_regenerated_claim_gets_its_own_column, but epoch 2's first
+    # evaluation of g2@m is refused. g2@m then has no column, and the column
+    # retracted g1@m left behind still holds the slot: it must read nothing.
+    scenario = _claim_x_scenario(
+        {0: ["w", "bot"], 1: WRONG_DOMAIN, None: ["bot", "s"]}, retract=True)
+    result = execute(scenario)
+    second = result.traces[-1]
+    assert [c.label for c in second.columns] == ["cm", "cn", "g1@m"]
+    assert all(dict(step.assessments)["g1@m"] is None for step in second.steps)
+    assert "g2@m" in {entry.claim.label
+                      for entry in result.state.nodes["m"].entries.values()}
+    text = "".join(to_json_lines(trace) for trace in result.traces)
+    assert "g1@m" not in replay_json_lines(text, scenario.kind)
+    report = write_report(scenario, result)
+    assert "  g1@m = (retracted)\n" in report
+    assert "  g2@m = ⊥²\n" in report
