@@ -201,7 +201,7 @@ def _malformed(case):
         del row["joins"]
     elif case == "join without old":
         del row["joins"][0]["old"]
-    else:
+    else:  # a keyframe cell of 1, which the join on cm then reads
         keyframe = json.loads(rows[0])
         keyframe["assessments"]["cm"] = 1
         rows[0] = json.dumps(keyframe)
@@ -434,7 +434,6 @@ def test_regenerated_claim_gets_its_own_column():
     report = write_report(scenario, result)
     assert "  g1@m = (retracted)\n" in report
     assert "  g2@m = ⟨⊥,s⟩\n" in report
-
 
 
 def test_report_lists_claims_without_a_column():
