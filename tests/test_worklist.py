@@ -1,6 +1,7 @@
 """Worklist structures, ordering policies, budgets, and the engine loop."""
 
 import random
+from itertools import count
 
 import pytest
 
@@ -15,7 +16,15 @@ from claimlattice.errors import (
 )
 from claimlattice.graph import EvaluationGraph, ProgramGraph
 from claimlattice.queries import EvalQuery, GenQuery, QuerySpec
-from claimlattice.state import initial_state, insert_claim
+from claimlattice.state import (
+    EvidenceSeed,
+    EvidenceStatus,
+    Polarity,
+    SourceKind,
+    initial_state,
+    insert_claim,
+    mark_evidence,
+)
 from claimlattice.transformer import StepReport
 from claimlattice.worklist import (
     ClaimCaps,
@@ -226,6 +235,74 @@ def test_wto_self_loop_is_component():
         neighborhood={"a": frozenset()},
     )
     assert weak_topological_order(graph) == (("a",),)
+
+
+def _recursive_wto(graph):
+    """The recursive form of Bourdoncle's algorithm the engine first
+    shipped, kept as the reference its ordering must not drift from."""
+    nodes = sorted(graph.all_nodes)
+    succs = {n: sorted(wl.extended_successors(graph, n)) for n in nodes}
+    dfn = dict.fromkeys(nodes, 0)
+    stack = []
+    counter = count(1)
+
+    def visit(vertex, partition):
+        stack.append(vertex)
+        number = next(counter)
+        dfn[vertex] = number
+        head = number
+        loop = False
+        for succ in succs[vertex]:
+            minimum = visit(succ, partition) if dfn[succ] == 0 else dfn[succ]
+            if minimum <= head:
+                head = minimum
+                loop = True
+        if head == dfn[vertex]:
+            dfn[vertex] = float("inf")
+            element = stack.pop()
+            if loop:
+                while element != vertex:
+                    dfn[element] = 0
+                    element = stack.pop()
+                partition.insert(0, component(vertex))
+            else:
+                partition.insert(0, vertex)
+        return head
+
+    def component(vertex):
+        members = []
+        for succ in succs[vertex]:
+            if dfn[succ] == 0:
+                visit(succ, members)
+        members.insert(0, vertex)
+        return tuple(members)
+
+    partition = []
+    for vertex in nodes:
+        if dfn[vertex] == 0:
+            visit(vertex, partition)
+    return tuple(partition)
+
+
+def _recursive_flatten(ordering):
+    out = []
+    for element in ordering:
+        if isinstance(element, tuple):
+            out.extend(_recursive_flatten(element))
+        else:
+            out.append(element)
+    return out
+
+
+def test_wto_matches_recursive_reference():
+    graphs = [generate_scenario(seed).graph for seed in range(200)]
+    # Larger, denser graphs nest components several levels deep.
+    graphs += [random_graph(random.Random(5000 + i), max_nodes=60)
+               for i in range(50)]
+    for graph in graphs:
+        wto = weak_topological_order(graph)
+        assert wto == _recursive_wto(graph)
+        assert flatten_wto(wto) == _recursive_flatten(wto)
 
 
 # --- initial worklist ---------------------------------------------------------
@@ -439,3 +516,52 @@ def test_goal_directed_generated_runs_stabilize():
         probes = [target for step in result.trace.steps
                   for target, cause in step.enqueued if cause == "goal_probe"]
         assert len(probes) == len(set(probes))
+
+
+# --- contexts across steps ----------------------------------------------------
+
+class RecordingAgent(ScriptedAgent):
+    """Scripted agent that keeps every evaluation context it is handed."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.contexts = []
+
+    def evaluate_claim(self, ctx, query, claim):
+        self.contexts.append(ctx)
+        return super().evaluate_claim(ctx, query, claim)
+
+
+class SupersedeUpstream:
+    """Mid-run hook: after step 2, supersede every record behind m's claims
+    without touching m's claim table, and wake n."""
+
+    def after_step(self, state, step, epoch):
+        if step != 2:
+            return None
+        table = state.nodes["m"]
+        ids = [i for entry in table.entries.values() for i in entry.evidence_ids]
+        revised = mark_evidence(state, ids, EvidenceStatus.SUPERSEDED, "re-derived")
+        assert revised.nodes["m"] is table
+        return revised, ["n"], 0
+
+
+def test_mid_run_mark_evidence_reaches_the_next_context(two_node):
+    graph, claims, state = two_node
+    cm, cn = claims
+    finding = EvidenceSeed(polarity=Polarity.SUPPORT, strength=W,
+                           basis=asmt.ConfidenceBasis.LOCATED,
+                           source_kind=SourceKind.DOC,
+                           excerpt="first reading at m")
+    agent = RecordingAgent([
+        ScriptEntry("m", cm.key, None,
+                    EvalScript(graded(W, BOT), evidence=(finding,))),
+        ScriptEntry("n", cn.key, None, EvalScript(graded(BOT, W))),
+    ])
+    result = engine_run(graph, state, agent, mid_run=SupersedeUpstream())
+    assert [s.node for s in result.trace.steps if s.node] == ["m", "n", "n"]
+    seen_at_n = [ctx.pred_states for ctx in agent.contexts if ctx.node == "n"]
+    assert [[p.excerpts for p in preds] for preds in seen_at_n] == [
+        [("first reading at m",)],
+        [()],
+    ]
