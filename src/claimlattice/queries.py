@@ -114,6 +114,7 @@ def build_context(
     node: str,
     *,
     excerpt_cap: int = DEFAULT_EXCERPT_CAP,
+    pred_cache: dict | None = None,
 ) -> PromptContext:
     """Deterministic context for one node: neighborhood sources plus every
     extended predecessor's claims with their active evidence excerpts.
@@ -122,24 +123,37 @@ def build_context(
     downstream nodes see when a record budget bites. Evidence ids are kept
     in (epoch, step, id) order, so only the newest active ones are read. A
     node sees its own sibling claims only if a context self-loop says so.
+
+    ``pred_cache`` maps a predecessor to the ``NodeState`` it was last read
+    from and the tuple of claims read from it; the tuple is reused while
+    ``state`` holds that same object. Its owner keeps the excerpt cap fixed
+    and drops it when a record's status changes, which replaces no table.
     """
+    if pred_cache is None:
+        pred_cache = {}
     preds = []
     for pred in sorted(extended_predecessors(graph, node)):
         table = state.nodes[pred]
-        for key, entry in table.entries.items():
-            excerpts: list[str] = []
-            for record in map(state.evidence.__getitem__, reversed(entry.evidence_ids)):
-                if len(excerpts) >= excerpt_cap:
-                    break
-                if record.status is EvidenceStatus.ACTIVE:
-                    excerpts.append(record.excerpt)
-            preds.append(PredecessorClaim(
-                node=pred,
-                key=key,
-                label=entry.claim.label,
-                assessment=entry.assessment,
-                excerpts=tuple(excerpts),
-            ))
+        cached = pred_cache.get(pred)
+        if cached is None or cached[0] is not table:
+            claims = []
+            for key, entry in table.entries.items():
+                excerpts: list[str] = []
+                for record in map(state.evidence.__getitem__,
+                                  reversed(entry.evidence_ids)):
+                    if len(excerpts) >= excerpt_cap:
+                        break
+                    if record.status is EvidenceStatus.ACTIVE:
+                        excerpts.append(record.excerpt)
+                claims.append(PredecessorClaim(
+                    node=pred,
+                    key=key,
+                    label=entry.claim.label,
+                    assessment=entry.assessment,
+                    excerpts=tuple(excerpts),
+                ))
+            cached = pred_cache[pred] = (table, tuple(claims))
+        preds.extend(cached[1])
     return PromptContext(
         node=node,
         kind=state.kind,

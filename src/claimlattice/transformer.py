@@ -79,11 +79,13 @@ def process_node(
     step: int = 0,
     excerpt_cap: int = DEFAULT_EXCERPT_CAP,
     agent_retries: int = DEFAULT_RETRIES,
+    pred_cache: dict | None = None,
 ) -> tuple[AnalysisState, StepReport]:
     if node not in state.nodes:
         raise UnknownNode(f"node {node!r} is not part of this run")
     spec = queries[node]
-    ctx = build_context(graph, state, goal, node, excerpt_cap=excerpt_cap)
+    ctx = build_context(graph, state, goal, node, excerpt_cap=excerpt_cap,
+                        pred_cache=pred_cache)
     visit = backend.begin_node_visit(node)
 
     working = state

@@ -410,7 +410,8 @@ def run(
         seed_list = list(policy.seed_nodes(initial_worklist(
             graph, state, queries, order)))
     else:
-        seed_list = [n for n in order if n in set(seeds)]
+        seed_set = set(seeds)
+        seed_list = [n for n in order if n in seed_set]
     for node in seed_list:
         worklist.push(node)
 
@@ -430,6 +431,7 @@ def run(
     trigger_events = 0
     trigger_budget = budget.max_trigger_events
     probed: set[str] = set()
+    pred_cache: dict = {}
 
     while len(worklist):
         if steps_done >= budget.hard_step_cap:
@@ -448,6 +450,7 @@ def run(
             step=steps_done + 1,
             excerpt_cap=excerpt_cap,
             agent_retries=agent_retries,
+            pred_cache=pred_cache,
         )
         steps_done += 1
 
@@ -529,6 +532,13 @@ def run(
             outcome = mid_run.after_step(state, steps_done, epoch)
             if outcome is not None:
                 state, wake, allowance = outcome
+                # A cached read of a predecessor stays valid while its
+                # NodeState object does. A step only mints records and
+                # attaches them, which replaces that node's NodeState, and
+                # each epoch is its own run with an empty cache. A revision
+                # here may change a record's status (mark_evidence) and keep
+                # the NodeState, so every cached read goes.
+                pred_cache.clear()
                 trigger_budget += allowance
                 _register_columns(columns, state, order)
                 revision_enqueued = []

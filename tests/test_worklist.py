@@ -15,7 +15,7 @@ from claimlattice.errors import (
     UnknownNode,
 )
 from claimlattice.graph import EvaluationGraph, ProgramGraph
-from claimlattice.queries import EvalQuery, GenQuery, QuerySpec
+from claimlattice.queries import EvalQuery, GenQuery, PredecessorClaim, QuerySpec
 from claimlattice.state import (
     EvidenceSeed,
     EvidenceStatus,
@@ -565,3 +565,48 @@ def test_mid_run_mark_evidence_reaches_the_next_context(two_node):
         [("first reading at m",)],
         [()],
     ]
+
+
+def test_a_step_reads_only_the_predecessors_that_changed(monkeypatch):
+    nodes = [f"q{i}" for i in range(6)]
+    graph = EvaluationGraph(
+        program=ProgramGraph(nodes=frozenset(nodes), edges=frozenset(),
+                             sources={n: f"// body of {n}" for n in nodes}),
+        aux_nodes=frozenset(),
+        context_edges=frozenset((a, b) for a in nodes for b in nodes if a != b),
+        feedback_edges=frozenset(),
+        neighborhood={n: frozenset({n}) for n in nodes},
+    )
+    claims = tuple(seeded_claim(n, f"property {j} holds at {n}", f"{n}.{j}")
+                   for n in nodes for j in range(2))
+    rng = random.Random(7)
+    entries = []
+    for claim in claims:
+        rising = [graded(W, BOT), graded(S, BOT), graded(S, W)]
+        for visit, value in enumerate(rising):
+            support = EvidenceSeed(
+                polarity=Polarity.SUPPORT, strength=value.support,
+                basis=asmt.ConfidenceBasis.LOCATED, source_kind=SourceKind.DOC,
+                excerpt=f"{claim.label} visit {visit} ({rng.randrange(10**6)})")
+            refute = [EvidenceSeed(
+                polarity=Polarity.REFUTE, strength=value.refute,
+                basis=asmt.ConfidenceBasis.MODEL, source_kind=SourceKind.DOC,
+                excerpt=f"{claim.label} doubt")] if value.refute is W else []
+            entries.append(ScriptEntry(claim.node, claim.key, visit, EvalScript(
+                value, evidence=(support, *refute))))
+        entries.append(ScriptEntry(claim.node, claim.key, None,
+                                   EvalScript(graded(S, W))))
+    built = []
+    original = PredecessorClaim.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs["node"])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PredecessorClaim, "__init__", counting)
+    state = initial_state(graph, asmt.DomainKind.GRADED, claims)
+    result = engine_run(graph, state, ScriptedAgent(entries))
+    assert result.steps > 2 * len(nodes)
+    # Each step replaces one node's table, so the run reads each table once
+    # at the start and once after every step that replaced it, and no more.
+    assert len(built) <= (result.steps + len(nodes)) * 2
