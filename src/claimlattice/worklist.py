@@ -267,6 +267,13 @@ def weak_topological_order(graph: EvaluationGraph):
     Returns a nested tuple: plain node ids interleaved with component tuples
     whose first element is the component head. Deterministic because roots
     and successors are always visited in node-id order.
+
+    ``visit`` and ``component`` are the algorithm's mutually recursive
+    procedures written as generators: each yields the call it would make,
+    and a driver loop keeps the pending calls on an explicit stack, so a
+    chain or a nest of any depth orders without touching Python's recursion
+    limit. A partition is built back to front by appending, and read
+    reversed.
     """
     nodes = sorted(graph.all_nodes)
     succs = {n: sorted(extended_successors(graph, n)) for n in nodes}
@@ -275,14 +282,17 @@ def weak_topological_order(graph: EvaluationGraph):
     stack: list[str] = []
     counter = count(1)
 
-    def visit(vertex: str, partition: list) -> float:
+    def visit(vertex: str, partition: list):
         stack.append(vertex)
         number = next(counter)
         dfn[vertex] = number
         head: float = number
         loop = False
         for succ in succs[vertex]:
-            minimum = visit(succ, partition) if dfn[succ] == 0 else dfn[succ]
+            if dfn[succ] == 0:
+                minimum = yield visit(succ, partition)
+            else:
+                minimum = dfn[succ]
             if minimum <= head:
                 head = minimum
                 loop = True
@@ -293,33 +303,47 @@ def weak_topological_order(graph: EvaluationGraph):
                 while element != vertex:
                     dfn[element] = 0
                     element = stack.pop()
-                partition.insert(0, component(vertex))
+                partition.append((yield component(vertex)))
             else:
-                partition.insert(0, vertex)
+                partition.append(vertex)
         return head
 
-    def component(vertex: str) -> tuple:
+    def component(vertex: str):
         members: list = []
         for succ in succs[vertex]:
             if dfn[succ] == 0:
-                visit(succ, members)
-        members.insert(0, vertex)
-        return tuple(members)
+                yield visit(succ, members)
+        return (vertex, *reversed(members))
+
+    def drive(call) -> None:
+        calls = [call]
+        value = None
+        while calls:
+            try:
+                calls.append(calls[-1].send(value))
+                value = None
+            except StopIteration as done:
+                calls.pop()
+                value = done.value
 
     partition: list = []
     for vertex in nodes:
         if dfn[vertex] == 0:
-            visit(vertex, partition)
-    return tuple(partition)
+            drive(visit(vertex, partition))
+    return tuple(reversed(partition))
 
 
 def flatten_wto(ordering) -> list[str]:
     out: list[str] = []
-    for element in ordering:
-        if isinstance(element, tuple):
-            out.extend(flatten_wto(element))
-        else:
+    pending = [iter(ordering)]
+    while pending:
+        for element in pending[-1]:
+            if isinstance(element, tuple):
+                pending.append(iter(element))
+                break
             out.append(element)
+        else:
+            pending.pop()
     return out
 
 

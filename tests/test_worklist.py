@@ -305,6 +305,36 @@ def test_wto_matches_recursive_reference():
         assert flatten_wto(wto) == _recursive_flatten(wto)
 
 
+def test_wto_of_a_20000_node_chain():
+    nodes = [f"v{i:05d}" for i in range(20000)]
+    graph = chain_graph(*nodes)
+    wto = weak_topological_order(graph)
+    assert wto == tuple(nodes)
+    assert flatten_wto(wto) == nodes
+    worklist = parse_policy("wto").build(graph)
+    for node in reversed(nodes):
+        worklist.push(node)
+    assert worklist.pop() == nodes[0]
+
+
+def test_wto_of_a_deeply_nested_loop():
+    # Feedback edges from the last node to every earlier one nest each loop
+    # inside the previous: (v0, (v1, ... (v1198, v1199))). Bourdoncle's
+    # algorithm re-visits a loop's members once per enclosing head, so the
+    # cost grows with depth squared; 1,200 levels is past the default
+    # recursion limit and still quick.
+    depth = 1199
+    nodes = [f"v{i:05d}" for i in range(depth + 1)]
+    graph = chain_graph(*nodes, feedback=tuple((nodes[-1], n) for n in nodes[:-1]))
+    (element,) = weak_topological_order(graph)
+    # Walked level by level: == and repr on the whole nest would recurse.
+    for node in nodes[:-2]:
+        assert len(element) == 2 and element[0] == node
+        element = element[1]
+    assert element == tuple(nodes[-2:])
+    assert flatten_wto(weak_topological_order(graph)) == nodes
+
+
 # --- initial worklist ---------------------------------------------------------
 
 def test_initial_worklist_seeds_claim_nodes(two_node):
