@@ -609,28 +609,21 @@ def test_a_step_reads_only_the_predecessors_that_changed(monkeypatch):
     )
     claims = tuple(seeded_claim(n, f"property {j} holds at {n}", f"{n}.{j}")
                    for n in nodes for j in range(2))
-    rng = random.Random(7)
     entries = []
     for claim in claims:
-        rising = [graded(W, BOT), graded(S, BOT), graded(S, W)]
-        for visit, value in enumerate(rising):
-            support = EvidenceSeed(
-                polarity=Polarity.SUPPORT, strength=value.support,
+        # Two raises, then answers that add records but never move the value.
+        for visit, strength in ((0, W), (1, S), (None, S)):
+            finding = EvidenceSeed(
+                polarity=Polarity.SUPPORT, strength=strength,
                 basis=asmt.ConfidenceBasis.LOCATED, source_kind=SourceKind.DOC,
-                excerpt=f"{claim.label} visit {visit} ({rng.randrange(10**6)})")
-            refute = [EvidenceSeed(
-                polarity=Polarity.REFUTE, strength=value.refute,
-                basis=asmt.ConfidenceBasis.MODEL, source_kind=SourceKind.DOC,
-                excerpt=f"{claim.label} doubt")] if value.refute is W else []
+                excerpt=f"{claim.label} reading {visit}")
             entries.append(ScriptEntry(claim.node, claim.key, visit, EvalScript(
-                value, evidence=(support, *refute))))
-        entries.append(ScriptEntry(claim.node, claim.key, None,
-                                   EvalScript(graded(S, W))))
+                graded(strength, BOT), evidence=(finding,))))
     built = []
     original = PredecessorClaim.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(kwargs["node"])
+        built.append(self)
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(PredecessorClaim, "__init__", counting)
