@@ -6,13 +6,15 @@ problem found without running anything.
 
 Exit codes: 0 for a completed run (stabilized or epoch limit reached), 1 for
 bad input of any kind, 2 for a blown termination budget, 3 for an agent
-transport failure, 4 for an engine bug (a failed runtime soundness check).
+transport failure, 4 for an engine bug (a failed runtime soundness check, or
+any exception the engine does not raise on purpose).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -39,6 +41,8 @@ from .scenario import Scenario, build_backend, build_initial_state, load_scenari
 from .state import export_evidence_log
 from .trace import render_table, to_json_lines
 from .worklist import POLICY_NAMES, TerminationBudget, parse_policy
+
+log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -267,6 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     except ClaimLatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # Anything else is a fault in the engine, not in the input: one
+        # line for the user, the traceback for whoever configures logging.
+        log.debug("engine bug", exc_info=True)
+        print(f"engine bug: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

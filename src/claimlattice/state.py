@@ -1,19 +1,29 @@
 """Claims, evidence records, and the run state they live in.
 
 State maps every graph node to its claim table; each claim carries an
-assessment and the ids of the evidence records behind it. Updates are
-functional: every operation returns a new state value and shares untouched
-node tables with its input, which keeps the per-step frame check cheap
-(untouched nodes compare identical by object identity).
+assessment and the ids of the evidence records behind it. Every operation
+returns a new state value and leaves its input as it was. Node tables are
+functional: an update copies the one table it changes and shares the rest,
+which keeps the per-step frame check cheap (untouched nodes compare
+identical by object identity).
+
+Evidence records and ref bindings live in one run-owned, append-only
+``EvidenceLog``. A state sees a prefix of it through an ``EvidenceView``,
+so adding a record costs what is added, not a copy of the run's evidence.
+A write through a view that is not its log's tip (the state is older than
+the newest write) first copies the visible prefix into a new log, and
+``mark_evidence`` always copies. So no state ever sees a record, binding or
+status change made after it.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import assessment as asmt
 from .errors import DomainMismatch, DuplicateClaim, EmptyClaim, UnknownClaim, UnknownNode
@@ -29,6 +39,8 @@ __all__ = [
     "EvidenceSeed",
     "ClaimEntry",
     "NodeState",
+    "EvidenceLog",
+    "EvidenceView",
     "AnalysisState",
     "canonicalize_claim",
     "initial_state",
@@ -139,15 +151,114 @@ class NodeState:
     entries: Mapping[str, ClaimEntry]
 
 
+# (node, claim_key, ref): the scope of a citation handle.
+RefKey = tuple[str, str, str]
+# A log entry: a record, or a binding that points a ref at a record id.
+LogEntry = EvidenceRecord | tuple[RefKey, str]
+
+
+class EvidenceLog:
+    """A run's evidence records and ref bindings, in the order written.
+
+    ``entries`` only grows, except that ``mark_evidence`` rewrites records
+    in a log of its own. A binding points its ref at the record it cites
+    from then on.
+    """
+
+    __slots__ = ("entries", "slots", "bindings")
+
+    def __init__(self, entries: Iterable[LogEntry] = ()):
+        self.entries: list[LogEntry] = []
+        self.slots: dict[str, int] = {}  # record id -> its index in entries
+        # ref key -> the indices of its bindings, ascending
+        self.bindings: dict[RefKey, tuple[int, ...]] = {}
+        self.extend(entries)
+
+    def extend(self, entries: Iterable[LogEntry]) -> None:
+        for entry in entries:
+            if isinstance(entry, EvidenceRecord):
+                self.slots[entry.id] = len(self.entries)
+            else:
+                self.bindings[entry[0]] = (
+                    self.bindings.get(entry[0], ()) + (len(self.entries),))
+            self.entries.append(entry)
+
+
+class EvidenceView(Mapping[str, EvidenceRecord]):
+    """One state's evidence: the first ``length`` entries of ``log``, of
+    which ``count`` are records, as a read-only map from id to record in
+    the order the records were first attached."""
+
+    __slots__ = ("log", "length", "count")
+
+    def __init__(self, log: EvidenceLog | None = None, length: int = 0,
+                 count: int = 0):
+        self.log = log if log is not None else EvidenceLog()
+        self.length = length
+        self.count = count
+
+    def __getitem__(self, record_id: str) -> EvidenceRecord:
+        index = self.log.slots.get(record_id, self.length)
+        if index >= self.length:
+            raise KeyError(record_id)
+        return self.log.entries[index]
+
+    def get(self, record_id: str, default=None):
+        index = self.log.slots.get(record_id, self.length)
+        return self.log.entries[index] if index < self.length else default
+
+    def __iter__(self) -> Iterator[str]:
+        return (entry.id for entry in islice(self.log.entries, self.length)
+                if isinstance(entry, EvidenceRecord))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __repr__(self) -> str:
+        return f"EvidenceView({dict(self)!r})"
+
+    def cited(self, ref_key: RefKey) -> str | None:
+        """The record id ``ref_key`` was last bound to, as this view sees it."""
+        for index in reversed(self.log.bindings.get(ref_key, ())):
+            if index < self.length:
+                return self.log.entries[index][1]
+        return None
+
+    def fork(self) -> EvidenceLog:
+        """A new log holding exactly what this view sees."""
+        source = self.log
+        if self.length != len(source.entries):
+            return EvidenceLog(islice(source.entries, self.length))
+        # The view sees the whole log, so shallow copies do: the binding
+        # index tuples are never changed in place.
+        log = EvidenceLog()
+        log.entries = source.entries.copy()
+        log.slots = source.slots.copy()
+        log.bindings = source.bindings.copy()
+        return log
+
+    def appended(self, entries: Sequence[LogEntry]) -> "EvidenceView":
+        """This view plus ``entries``. Appends in place when this view is its
+        log's tip, so every older view keeps its length and sees nothing new;
+        otherwise the entries go after a fork of what this view sees."""
+        if not entries:
+            return self
+        log = self.log
+        if self.length != len(log.entries):
+            log = self.fork()
+        log.extend(entries)
+        added = sum(isinstance(entry, EvidenceRecord) for entry in entries)
+        return EvidenceView(log, len(log.entries), self.count + added)
+
+
 @dataclass(frozen=True)
 class AnalysisState:
     kind: asmt.DomainKind
     nodes: Mapping[str, NodeState]
-    evidence: Mapping[str, EvidenceRecord]
+    # Records by id, and each ref's binding for re-citation (``cited``).
+    evidence: EvidenceView
     evidence_seq: int = 1
     claim_seq: int = 1
-    # (node, claim_key, ref) -> evidence id, for re-citation.
-    citations: Mapping[tuple[str, str, str], str] = field(default_factory=dict)
 
 
 def initial_state(
@@ -168,7 +279,7 @@ def initial_state(
                 f"claim {claim.key!r} already present at node {claim.node!r}")
         table[claim.key] = ClaimEntry(claim, bottom, evidence_ids=())
     nodes = {n: NodeState(entries=tables[n]) for n in sorted(tables)}
-    return AnalysisState(kind=kind, nodes=nodes, evidence={})
+    return AnalysisState(kind=kind, nodes=nodes, evidence=EvidenceView())
 
 
 def _node_state(state: AnalysisState, node: str) -> NodeState:
@@ -219,24 +330,30 @@ def record_update(
     joined = asmt.join(entry.assessment, contributed)
     seen = set(entry.evidence_ids)
     merged_ids = list(entry.evidence_ids)
-    evidence = dict(state.evidence)
+    evidence = state.evidence
+    fresh: dict[str, EvidenceRecord] = {}
+
+    def order(record_id: str) -> tuple[int, int, str]:
+        record = fresh.get(record_id) or evidence[record_id]
+        return record.epoch, record.step, record_id
+
     for record in records:
-        existing = evidence.get(record.id)
+        existing = fresh.get(record.id) or evidence.get(record.id)
         if existing is None:
-            evidence[record.id] = record
+            fresh[record.id] = record
         elif existing != record:
             raise ValueError(f"evidence id {record.id!r} reused with different content")
         if record.id not in seen:
             seen.add(record.id)
             # Appends unless the record sorts before the current last one.
-            bisect.insort(merged_ids, record.id, key=lambda i: (
-                evidence[i].epoch, evidence[i].step, i))
+            bisect.insort(merged_ids, record.id, key=order)
     new_entry = ClaimEntry(entry.claim, joined, tuple(merged_ids))
     entries = dict(table.entries)
     entries[claim_key] = new_entry
     nodes = dict(state.nodes)
     nodes[node] = NodeState(entries=entries)
-    return replace(state, nodes=nodes, evidence=evidence)
+    return replace(state, nodes=nodes,
+                   evidence=evidence.appended(tuple(fresh.values())))
 
 
 def mint_evidence(
@@ -257,10 +374,11 @@ def mint_evidence(
     """
     records: list[EvidenceRecord] = []
     seq = state.evidence_seq
-    citations = dict(state.citations)
+    bindings: dict[RefKey, str] = {}
     for seed in seeds:
         if seed.ref is not None:
-            bound = citations.get((node, claim_key, seed.ref))
+            ref_key = (node, claim_key, seed.ref)
+            bound = bindings.get(ref_key) or state.evidence.cited(ref_key)
             if bound is not None:
                 existing = state.evidence.get(bound)
                 if existing is not None and existing.status is EvidenceStatus.ACTIVE:
@@ -281,8 +399,9 @@ def mint_evidence(
         seq += 1
         records.append(record)
         if seed.ref is not None:
-            citations[(node, claim_key, seed.ref)] = record.id
-    new_state = replace(state, evidence_seq=seq, citations=citations)
+            bindings[ref_key] = record.id
+    new_state = replace(state, evidence_seq=seq,
+                        evidence=state.evidence.appended(tuple(bindings.items())))
     return new_state, tuple(records)
 
 
@@ -292,18 +411,24 @@ def mark_evidence(
     status: EvidenceStatus,
     reason: str,
 ) -> AnalysisState:
-    """Move records out of ACTIVE, keeping their content for the audit trail."""
+    """Move records out of ACTIVE, keeping their content for the audit trail.
+
+    Works on a fork of the state's evidence, so the input state and every
+    other state keep seeing the old statuses.
+    """
     if status is EvidenceStatus.ACTIVE:
         raise ValueError("evidence can only move away from ACTIVE")
-    evidence = dict(state.evidence)
+    log = state.evidence.fork()
     for record_id in ids:
-        record = evidence.get(record_id)
-        if record is None:
+        index = log.slots.get(record_id)
+        if index is None:
             raise UnknownClaim(f"no evidence record {record_id!r}")
+        record = log.entries[index]
         if record.status is not EvidenceStatus.ACTIVE:
             continue
-        evidence[record_id] = replace(record, status=status, status_reason=reason)
-    return replace(state, evidence=evidence)
+        log.entries[index] = replace(record, status=status, status_reason=reason)
+    return replace(state, evidence=EvidenceView(log, len(log.entries),
+                                                state.evidence.count))
 
 
 def assessment_projection(node_state: NodeState) -> dict[str, asmt.Assessment]:

@@ -88,7 +88,9 @@ def process_node(
                         pred_cache=pred_cache)
     visit = backend.begin_node_visit(node)
 
-    working = state
+    # The step's updates run on a state whose node map holds this node
+    # alone, so no update copies the whole map; it is copied once, at the end.
+    working = replace(state, nodes={node: state.nodes[node]})
     updates: list[JoinRecord] = []
     diagnostics: list[str] = []
     action: str | None = None
@@ -177,9 +179,10 @@ def process_node(
     before_view = assessment_projection(state.nodes[node])
     after_view = assessment_projection(working.nodes[node])
     ac_changed = before_view != after_view
+    # A new record is always attached to a claim's ids, so comparing the
+    # entries also catches evidence growth.
     evidence_only = (not ac_changed) and (
-        working.nodes[node].entries != state.nodes[node].entries
-        or len(working.evidence) != len(state.evidence))
+        working.nodes[node].entries != state.nodes[node].entries)
     if evidence_only:
         # Evidence growth alone never wakes successors; leave a trail so the
         # suppression can be studied later.
@@ -198,4 +201,6 @@ def process_node(
         ac_changed=ac_changed,
         evidence_only_change=evidence_only,
     )
-    return working, report
+    nodes = dict(state.nodes)
+    nodes[node] = working.nodes[node]
+    return replace(working, nodes=nodes), report

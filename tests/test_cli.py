@@ -5,6 +5,7 @@ import os
 import socket
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,39 @@ def test_invariant_violation_is_engine_bug_exit(monkeypatch, capsys):
     assert code == cli.EXIT_BUG == 4
     assert captured.out == ""
     assert captured.err == "engine bug: step 3 at 'n_2' modified node 'n_1'\n"
+
+
+def test_unexpected_exception_is_one_engine_bug_line(monkeypatch, capsys):
+    from claimlattice import cli
+    from claimlattice.scenario import build_initial_state
+    from claimlattice.state import (EvidenceSeed, Polarity, SourceKind,
+                                    mint_evidence, record_update)
+
+    def reusing_an_id(scenario, **kwargs):
+        state = build_initial_state(scenario)
+        claim = scenario.claims[0]
+        seed = EvidenceSeed(Polarity.SUPPORT, asmt.Strength.WEAK,
+                            asmt.ConfidenceBasis.LOCATED, SourceKind.DOC,
+                            "first reading")
+        state, (record,) = mint_evidence(state, claim.node, claim.key, [seed],
+                                         epoch=1, step=1)
+        state = record_update(state, claim.node, claim.key,
+                              asmt.bottom(state.kind), [record])
+        forged = replace(record, excerpt="other content")
+        record_update(state, claim.node, claim.key, asmt.bottom(state.kind),
+                      [forged])
+
+    monkeypatch.setattr(cli, "execute", reusing_an_id)
+    code = cli.main(["run", str(GOLDEN)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_BUG == 4
+    assert captured.out == ""
+    assert captured.err == ("engine bug: ValueError: evidence id 'e000001' "
+                            "reused with different content\n")
+
+
+def test_budget_cap_of_one_passes_validation():
+    proc = run_cli("run", str(GOLDEN), "--budget-cap", "1")
+    assert proc.returncode == 2
+    assert proc.stderr == ("budget exceeded: hard step cap 1 reached with "
+                           "work pending\n")

@@ -633,3 +633,22 @@ def test_a_step_reads_only_the_predecessors_that_changed(monkeypatch):
     # Each step replaces one node's table, so the run reads each table once
     # at the start and once after every step that replaced it, and no more.
     assert len(built) <= (result.steps + len(nodes)) * 2
+
+
+def test_goal_directed_never_probes_a_node_with_nothing_to_do():
+    # u has no claim and no generative query, so a probe would be a step
+    # with nothing to evaluate; m upstream of the goal is probed.
+    graph = chain_graph("u", "m", "n")
+    cm = seeded_claim("m", "claim at m holds", "cm")
+    cn = seeded_claim("n", "claim at n holds", "cn")
+    state = initial_state(graph, asmt.DomainKind.GRADED, (cm, cn))
+    agent = ScriptedAgent([
+        ScriptEntry("n", cn.key, None, EvalScript(graded(BOT, W))),
+        ScriptEntry("m", cm.key, None, EvalScript(graded(BOT, BOT))),
+    ])
+    result = engine_run(graph, state, agent,
+                        policy=parse_policy("goal-directed", goal_node="n"))
+    assert [s.node for s in result.trace.steps[1:]] == ["n", "m"]
+    probes = [target for step in result.trace.steps
+              for target, cause in step.enqueued if cause == "goal_probe"]
+    assert probes == ["m"]
