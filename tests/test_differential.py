@@ -6,12 +6,16 @@ the rendered table, the JSON trace and the evidence log; runs through
 and the status. A run that raises is recorded as its exception type and
 message. Each JSON trace is hashed through ``expand_json_lines``, which
 rebuilds every row's full ``assessments`` map, so the hashes pin the cells
-a trace implies, not how it stores them. Goal-directed ordering is left
-out: its traces follow the probe rule, which ``test_worklist`` checks on
-its own. A ``ctx/`` entry per run
+a trace implies, not how it stores them. A ``ctx/`` entry per run
 hashes the ``repr`` of every prompt context its steps built, so a wrong
 upstream finding or excerpt moves a hash even though the scripted agent
-never reads the context.
+never reads the context. An ``enq/`` entry per run hashes every trace row's
+``enqueued`` pairs, the node and the cause of each push, which neither the
+table nor the JSON trace carries; rows of a run that raises count too.
+
+Each run goes through fifo, lifo, wto and feedback-priority, and through
+goal-directed ordering with the goal at the generated scenario's last
+declared node, or at the node ``cli`` picks for a scenario's goal claim.
 
 A second fixture pins the scenario loader. Every mutation-target shape of
 both shipped scenarios (the shapes ``test_scenario`` fuzzes, optional fields
@@ -37,7 +41,8 @@ from pathlib import Path
 import pytest
 
 import claimlattice.transformer as transformer
-from claimlattice.cli import execute
+import claimlattice.worklist as worklist
+from claimlattice.cli import _resolve_policy, execute
 from claimlattice.errors import ValidationError
 from claimlattice.revision import export_revision_log
 from claimlattice.scenario import parse_scenario
@@ -56,7 +61,7 @@ from test_scenario import SHIPPED, TARGETS, _set_path
 REPO = Path(__file__).resolve().parents[1]
 FIXTURE = Path(__file__).resolve().parent / "differential_hashes.json"
 LOADER_FIXTURE = Path(__file__).resolve().parent / "loader_hashes.json"
-POLICIES = ("fifo", "lifo", "wto", "feedback-priority")
+POLICIES = ("fifo", "lifo", "wto", "feedback-priority", "goal-directed")
 SEEDS = range(200)
 
 
@@ -104,7 +109,7 @@ def _generated_run(seed: int, policy_name: str):
         queries=gen.queries,
         backend=gen.fresh_backend(),
         caps=gen.caps,
-        policy=parse_policy(policy_name),
+        policy=parse_policy(policy_name, goal_node=gen.declared_order[-1]),
         budget=TerminationBudget.for_run(gen.kind, gen.caps,
                                          sorted(gen.graph.all_nodes)),
         declared_order=gen.declared_order,
@@ -115,7 +120,8 @@ def _generated_run(seed: int, policy_name: str):
 
 
 def _cli_run(scenario, policy_name: str | None):
-    policy = None if policy_name is None else parse_policy(policy_name)
+    policy = None if policy_name is None else _resolve_policy(scenario,
+                                                              policy_name)
     result = execute(scenario, policy=policy)
     parts = []
     for trace in result.traces:
@@ -188,23 +194,34 @@ def cli_scenarios() -> dict[str, object]:
 
 
 def record(monkeypatch) -> dict[str, str]:
-    """Hash every run, and under ``ctx/`` the contexts its steps built;
-    ``monkeypatch`` wraps ``build_context`` where the transformer calls it."""
+    """Hash every run, under ``ctx/`` the contexts its steps built and under
+    ``enq/`` its rows' enqueue pairs; ``monkeypatch`` wraps ``build_context``
+    where the transformer calls it and ``TraceStep`` where the engine does."""
     entries: dict[str, str] = {}
     contexts: list[str] = []
+    rows: list[str] = []
     build = transformer.build_context
+    make_row = worklist.TraceStep
 
     def capture(*args, **kwargs):
         ctx = build(*args, **kwargs)
         contexts.append(repr(ctx))
         return ctx
 
+    def capture_row(*args, **kwargs):
+        row = make_row(*args, **kwargs)
+        rows.append(repr(row.enqueued))
+        return row
+
     monkeypatch.setattr(transformer, "build_context", capture)
+    monkeypatch.setattr(worklist, "TraceStep", capture_row)
 
     def hashed(key: str, produce) -> None:
         contexts.clear()
+        rows.clear()
         entries[key] = _guarded(produce)
         entries[f"ctx/{key}"] = _digest(*contexts)
+        entries[f"enq/{key}"] = _digest(*rows)
 
     for seed in SEEDS:
         for name in POLICIES:
@@ -220,7 +237,7 @@ def record(monkeypatch) -> dict[str, str]:
 def test_differential_fixture_unchanged(monkeypatch):
     expected = json.loads(FIXTURE.read_text("utf-8"))
     actual = record(monkeypatch)
-    assert len(expected) == 1640
+    assert len(expected) == 3072
     assert sorted(actual) == sorted(expected)
     changed = [key for key in expected if actual[key] != expected[key]]
     assert not changed, f"{len(changed)} entries moved, first: {changed[:5]}"
