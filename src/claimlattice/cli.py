@@ -194,6 +194,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         policy = _resolve_policy(scenario, args.policy)
     except ValueError as exc:
         raise ValidationError([f"--policy: {exc}"]) from None
+    if args.out:
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ClaimLatticeError(f"--out: {exc}") from None
 
     audit_sink: list = []
     backend_override = args.agent
@@ -211,7 +216,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if table is not None:
             (out_dir / "trace.txt").write_text(table, encoding="utf-8")
         if jsonl is not None:

@@ -293,10 +293,7 @@ class BoundedRevision:
         if len(self.journal) == journal_before:
             # Every due move was denied or skipped; nothing to show.
             return None
-        # Deduplicate while preserving first-seen order.
-        seen: set[str] = set()
-        ordered_wake = [n for n in wake if not (n in seen or seen.add(n))]
-        return state, ordered_wake, allowance
+        return state, wake, allowance
 
 
 # --- epochal recomputation ----------------------------------------------------

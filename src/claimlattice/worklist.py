@@ -3,8 +3,8 @@
 The loop is the classic chaotic iteration shape. A node comes off the
 worklist, its transformer runs, and its extended successors are enqueued
 exactly when the node's assessment view changed; evidence-only growth never
-wakes anyone. The worklist is an ordered set: membership is policy-free,
-ordering is the policy's whole job.
+wakes anyone. The loop names no policy: the worklist a policy builds picks
+the pop order and the seeds, and may enqueue more after each step.
 
 Every run enforces its termination budget and two soundness checks: the
 frame property (a step touches only its own node's claim table) and enqueue
@@ -13,6 +13,7 @@ justification (every non-seed enqueue names the change that caused it).
 
 from __future__ import annotations
 
+import bisect
 import logging
 from dataclasses import dataclass, field
 from itertools import count
@@ -96,12 +97,12 @@ class TerminationBudget:
 # --- worklist structures -----------------------------------------------------
 
 class Worklist:
-    """Ordered set of pending nodes; membership and deduplication are common.
+    """Ordered set of pending nodes that records why each one is pending.
 
-    Without a ``key``, nodes pop in arrival order, or newest first when
-    ``lifo`` is set, and trace rows list them in arrival order. With
-    ``key(node, via_feedback)`` the smallest key pops first and trace rows
-    list nodes in key order.
+    ``_items`` is in trace-row order: arrival order, or sorted by
+    ``key(node, via_feedback)``; a pop takes the front, or the back under
+    ``lifo``. Sorted insertion stays exact: every key ends in the node id,
+    and only a feedback mark changes a pending node's key.
     """
 
     def __init__(self, key: Callable[[str, bool], tuple] | None = None, *,
@@ -111,6 +112,7 @@ class Worklist:
         self._items: list[str] = []
         self._member: set[str] = set()
         self._via_feedback: set[str] = set()
+        self._enqueued: list[tuple[str, str]] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -119,14 +121,31 @@ class Worklist:
         return node in self._member
 
     def push(self, node: str, *, feedback: bool = False) -> bool:
-        """Add a node; returns True only when it was not already pending."""
-        if feedback:
+        """Add a node; returns True only when it was not already pending.
+        A feedback mark can change a pending node's key, which re-places it."""
+        added = node not in self._member
+        if feedback and node not in self._via_feedback:
             self._via_feedback.add(node)
-        if node in self._member:
-            return False
-        self._member.add(node)
-        self._items.append(node)
-        return True
+            if not added and self._key is not None:
+                self._items.remove(node)
+                bisect.insort(self._items, node, key=self._sort_key)
+        if added:
+            self._member.add(node)
+            if self._key is None:
+                self._items.append(node)
+            else:
+                bisect.insort(self._items, node, key=self._sort_key)
+        return added
+
+    def enqueue(self, node: str, cause: str, *, feedback: bool = False) -> None:
+        """``push``, recording ``(node, cause)`` when the push added it."""
+        if self.push(node, feedback=feedback):
+            self._enqueued.append((node, cause))
+
+    def drain(self) -> tuple[tuple[str, str], ...]:
+        """The ``(node, cause)`` pairs recorded since the last drain."""
+        pairs, self._enqueued = tuple(self._enqueued), []
+        return pairs
 
     def _sort_key(self, node: str) -> tuple:
         return self._key(node, node in self._via_feedback)
@@ -138,16 +157,20 @@ class Worklist:
         return node
 
     def pop(self) -> str:
-        if self._key is None:
-            return self._take(-1 if self._lifo else 0)
-        return self._take(min(range(len(self._items)),
-                              key=lambda i: self._sort_key(self._items[i])))
+        return self._take(-1 if self._lifo else 0)
 
     def members(self) -> tuple[str, ...]:
         """Policy-eye view of the pending set, used for trace rows."""
-        if self._key is None:
-            return tuple(self._items)
-        return tuple(sorted(self._items, key=self._sort_key))
+        return tuple(self._items)
+
+    def seed(self, candidates: Sequence[str]) -> None:
+        """Enqueue the nodes that have work at step zero."""
+        for node in candidates:
+            self.enqueue(node, "seed")
+
+    def after_step(self, graph: EvaluationGraph, state: AnalysisState,
+                   queries: Mapping[str, QuerySpec], node: str) -> None:
+        """Hook called after each step's own enqueues."""
 
     def finish(self) -> None:
         """Hook called when the loop drains; policies may object."""
@@ -183,10 +206,34 @@ class ScriptedWorklist(Worklist):
 
     def finish(self) -> None:
         if self._cursor < len(self._steps):
-            leftover = self._steps[self._cursor:]
             raise ScenarioError(
                 "scripted order has unused steps after stabilization: "
-                + ", ".join(leftover))
+                + ", ".join(self._steps[self._cursor:]))
+
+
+class GoalWorklist(Worklist):
+    """Arrival order, seeded with the goal alone. After each step, every
+    extended predecessor that has work and holds only bottoms is enqueued as
+    a ``goal_probe``, once per run at most: probes are not trigger events,
+    and that bound keeps them finite."""
+
+    def __init__(self, goal_node: str):
+        super().__init__()
+        self._goal_node = goal_node
+        self._probed: set[str] = set()
+
+    def seed(self, candidates: Sequence[str]) -> None:
+        self.enqueue(self._goal_node, "seed")
+
+    def after_step(self, graph: EvaluationGraph, state: AnalysisState,
+                   queries: Mapping[str, QuerySpec], node: str) -> None:
+        for pred in sorted(extended_predecessors(graph, node)):
+            if (pred not in self and pred not in self._probed
+                    and _has_work(state, queries, pred)
+                    and all(entry.assessment == asmt.bottom(state.kind)
+                            for entry in state.nodes[pred].entries.values())):
+                self._probed.add(pred)
+                self.enqueue(pred, "goal_probe")
 
 
 # --- ordering policies -------------------------------------------------------
@@ -194,10 +241,9 @@ class ScriptedWorklist(Worklist):
 class OrderPolicy:
     """A named worklist order: which pending node pops next.
 
-    ``steps`` parameterizes scripted-order and ``goal_node`` goal-directed,
-    which seeds only the goal node and pulls in extended predecessors lazily
-    whenever a processed node still sees nothing but bottoms upstream.
-    Subclasses may override ``build`` to supply an order of their own.
+    ``steps`` parameterizes scripted-order and ``goal_node`` goal-directed.
+    ``build`` makes each run a fresh worklist, which holds any state the
+    policy keeps while it runs; subclasses may override it.
     """
 
     def __init__(self, name: str, *, steps: Sequence[str] = (),
@@ -206,15 +252,8 @@ class OrderPolicy:
         self.steps = tuple(steps)
         self.goal_node = goal_node
 
-    @property
-    def goal_probes(self) -> bool:
-        return self.name == "goal-directed"
-
     def build(self, graph: EvaluationGraph) -> Worklist:
         return _BUILDERS[self.name](self, graph)
-
-    def seed_nodes(self, candidates: Sequence[str]) -> Sequence[str]:
-        return [self.goal_node] if self.goal_probes else candidates
 
 
 def FifoPolicy() -> OrderPolicy:
@@ -234,7 +273,7 @@ _BUILDERS: dict[str, Callable[[OrderPolicy, EvaluationGraph], Worklist]] = {
     "fifo": lambda policy, graph: Worklist(),
     "lifo": lambda policy, graph: Worklist(lifo=True),
     "wto": _wto_worklist,
-    "goal-directed": lambda policy, graph: Worklist(),
+    "goal-directed": lambda policy, graph: GoalWorklist(policy.goal_node),
     # Feedback-edge arrivals outrank everything else; ties go by node id.
     "feedback-priority": lambda policy, graph: Worklist(
         lambda node, via_feedback: (not via_feedback, node)),
@@ -359,14 +398,16 @@ def initial_worklist(
     present, or a generative query that could mint one."""
     order = list(declared_order) if declared_order is not None else sorted(
         graph.all_nodes)
-    seeds = []
     for node in order:
         if node not in graph.all_nodes:
             raise UnknownNode(f"declared order names unknown node {node!r}")
-        spec = queries.get(node)
-        if state.nodes[node].entries or (spec is not None and spec.gen):
-            seeds.append(node)
-    return seeds
+    return [node for node in order if _has_work(state, queries, node)]
+
+
+def _has_work(state: AnalysisState, queries: Mapping[str, QuerySpec],
+              node: str) -> bool:
+    spec = queries.get(node)
+    return bool(state.nodes[node].entries or spec is not None and spec.gen)
 
 
 @dataclass
@@ -377,20 +418,20 @@ class RunResult:
     trigger_events: int
 
 
-def _keyframe_cells(columns: ColumnRegistry,
-                    state: AnalysisState) -> tuple[tuple[str, asmt.Assessment | None], ...]:
+def _keyframe(index: int, action: str, columns: ColumnRegistry,
+              state: AnalysisState, order: Sequence[str],
+              worklist: Worklist) -> TraceStep:
+    """A row with every cell, once each claim in ``state`` has a column."""
+    for node in order:
+        for key, entry in state.nodes[node].entries.items():
+            columns.add(entry.claim.label, node, key)
     cells = []
     for column in columns.columns:
         entry = state.nodes[column.node].entries.get(column.key)
         cells.append((column.label, entry.assessment if entry else None))
-    return tuple(cells)
-
-
-def _register_columns(columns: ColumnRegistry, state: AnalysisState,
-                      order: Sequence[str]) -> None:
-    for node in order:
-        for key, entry in state.nodes[node].entries.items():
-            columns.add(entry.claim.label, node, key)
+    return TraceStep(index=index, node=None, action=action, cells=tuple(cells),
+                     joins=(), worklist_after=worklist.members(),
+                     ac_changed=False, enqueued=worklist.drain())
 
 
 def run(
@@ -427,34 +468,23 @@ def run(
         graph.all_nodes)
     if columns is None:
         columns = ColumnRegistry()
-    _register_columns(columns, state, order)
 
     worklist = policy.build(graph)
     if seeds is None:
-        seed_list = list(policy.seed_nodes(initial_worklist(
-            graph, state, queries, order)))
+        worklist.seed(initial_worklist(graph, state, queries, order))
     else:
         seed_set = set(seeds)
-        seed_list = [n for n in order if n in seed_set]
-    for node in seed_list:
-        worklist.push(node)
+        for node in order:
+            if node in seed_set:
+                worklist.enqueue(node, "seed")
 
     trace = RunTrace(epoch=epoch)
-    trace.steps.append(TraceStep(
-        index=0,
-        node=None,
-        action="init" if epoch == 1 else "revision",
-        cells=_keyframe_cells(columns, state),
-        joins=(),
-        worklist_after=worklist.members(),
-        ac_changed=False,
-        enqueued=tuple((n, "seed") for n in seed_list),
-    ))
+    trace.steps.append(_keyframe(0, "init" if epoch == 1 else "revision",
+                                 columns, state, order, worklist))
 
     steps_done = 0
     trigger_events = 0
     trigger_budget = budget.max_trigger_events
-    probed: set[str] = set()
     pred_cache: dict = {}
 
     while len(worklist):
@@ -494,7 +524,6 @@ def run(
                 f"step {steps_done} at {node!r}: transformer and engine disagree "
                 "on whether the assessment view changed")
 
-        enqueued: list[tuple[str, str]] = []
         if ac_changed:
             trigger_events += 1
             if trigger_events > trigger_budget:
@@ -504,29 +533,10 @@ def run(
             # Forward flow enqueues before feedback re-examination; the split
             # fixes the FIFO ordering (and the rendered worklist column).
             for succ in graph.context_successors.get(node, ()):
-                if worklist.push(succ):
-                    enqueued.append((succ, "ac_change"))
+                worklist.enqueue(succ, "ac_change")
             for succ in graph.feedback_successors.get(node, ()):
-                if worklist.push(succ, feedback=True):
-                    enqueued.append((succ, "ac_change"))
-
-        if policy.goal_probes:
-            # Lazy upstream expansion: pull in predecessors that have never
-            # produced anything, so the goal's support gets built on demand.
-            # Each predecessor is probed at most once per epoch; later visits
-            # come from its own changes, so probes are bounded by the node
-            # count even though they are not trigger events.
-            for pred in sorted(extended_predecessors(graph, node)):
-                table = state.nodes[pred].entries
-                spec = queries.get(pred)
-                has_work = bool(table) or (spec is not None and bool(spec.gen))
-                all_bottom = all(
-                    entry.assessment == asmt.bottom(state.kind)
-                    for entry in table.values())
-                if (has_work and all_bottom and pred not in probed
-                        and worklist.push(pred)):
-                    probed.add(pred)
-                    enqueued.append((pred, "goal_probe"))
+                worklist.enqueue(succ, "ac_change", feedback=True)
+        worklist.after_step(graph, state, queries, node)
 
         # The row stores what the step changed: each inserted claim, and each
         # moving join on a claim that has a column. A claim whose first
@@ -548,7 +558,7 @@ def run(
             ac_changed=ac_changed,
             evidence_only=report.evidence_only_change,
             diagnostics=report.diagnostics,
-            enqueued=tuple(enqueued),
+            enqueued=worklist.drain(),
             previous=trace.steps[-1],
         ))
 
@@ -564,21 +574,10 @@ def run(
                 # the NodeState, so every cached read goes.
                 pred_cache.clear()
                 trigger_budget += allowance
-                _register_columns(columns, state, order)
-                revision_enqueued = []
                 for woken in wake:
-                    if worklist.push(woken):
-                        revision_enqueued.append((woken, "revision"))
-                trace.steps.append(TraceStep(
-                    index=steps_done,
-                    node=None,
-                    action="revision",
-                    cells=_keyframe_cells(columns, state),
-                    joins=(),
-                    worklist_after=worklist.members(),
-                    ac_changed=False,
-                    enqueued=tuple(revision_enqueued),
-                ))
+                    worklist.enqueue(woken, "revision")
+                trace.steps.append(_keyframe(steps_done, "revision", columns,
+                                             state, order, worklist))
 
     worklist.finish()
     trace.columns = columns.columns
