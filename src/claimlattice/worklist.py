@@ -455,7 +455,7 @@ def run(
 ) -> RunResult:
     """Drive the worklist to empty and return the stabilized state.
 
-    ``seeds`` overrides the computed initial worklist (used when an epoch
+    ``seeds`` bypasses the worklist's own seeding (used when an epoch
     resumes after revision); ``columns`` carries the claim-column order
     across epochs. Epochs after the first open with a "revision" row instead
     of "init". ``mid_run`` is an optional hook with an

@@ -262,3 +262,18 @@ def test_budget_cap_of_one_passes_validation():
     assert proc.returncode == 2
     assert proc.stderr == ("budget exceeded: hard step cap 1 reached with "
                            "work pending\n")
+
+
+def test_unusable_out_dir_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    from claimlattice import cli
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    runs = []
+    monkeypatch.setattr(cli, "execute", lambda *a, **k: runs.append(a))
+    code = cli.main(["run", str(GOLDEN), "--out", str(blocker / "sub")])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INPUT == 1
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: --out: ")
+    assert runs == []

@@ -1,7 +1,7 @@
-"""A step's memory cost follows what the step changed, not the run's size.
+"""A step's cost follows what the step changed, not the run's size.
 
-Clock-free: tracemalloc counts bytes, which repeat exactly from run to run,
-where step timings on a shared host do not.
+Clock-free: tracemalloc bytes and key-call counts repeat exactly from run
+to run, where step timings on a shared host do not.
 """
 
 import statistics
@@ -11,7 +11,9 @@ from claimlattice import assessment as asmt
 from claimlattice.agent import EvalScript, ScriptEntry, ScriptedAgent
 from claimlattice.graph import EvaluationGraph, ProgramGraph
 from claimlattice.state import EvidenceSeed, Polarity, SourceKind, initial_state
-from claimlattice.worklist import ClaimCaps, FifoPolicy, TerminationBudget, run
+from claimlattice.worklist import (ClaimCaps, FifoPolicy, OrderPolicy,
+                                   TerminationBudget, Worklist, flatten_wto,
+                                   run, weak_topological_order)
 
 from conftest import plain_queries, seeded_claim
 
@@ -100,3 +102,42 @@ def test_transient_bytes_per_step_stay_flat_in_chain_length():
     # 3.4, and copying the whole node map in every update 2.1.
     ratio = transient_bytes_per_step(400) / transient_bytes_per_step(100)
     assert ratio <= 1.5, ratio
+
+
+class CountingWtoPolicy(OrderPolicy):
+    """The wto rank, through a key that counts its calls."""
+
+    name = "counting-wto"
+
+    def __init__(self):
+        self.calls = 0
+
+    def build(self, graph):
+        order = flatten_wto(weak_topological_order(graph))
+        rank = {node: i for i, node in enumerate(order)}
+
+        def key(node, via_feedback):
+            self.calls += 1
+            return (rank[node], node)
+
+        return Worklist(key)
+
+
+def key_calls_per_step(n):
+    graph, claims, agent = graded_chain(n)
+    state = initial_state(graph, asmt.DomainKind.GRADED, claims)
+    caps = ClaimCaps()
+    policy = CountingWtoPolicy()
+    result = run(graph, state, goal="the goal", queries=plain_queries(graph),
+                 backend=agent, caps=caps, policy=policy,
+                 budget=TerminationBudget.for_run(
+                     state.kind, caps, sorted(graph.all_nodes)))
+    return policy.calls / result.steps
+
+
+def test_key_calls_per_step_stay_flat_in_chain_length():
+    # Sorted insertion costs a key call per level of a binary search. A
+    # worklist that scans its pending set on every pop and trace row grows
+    # with the chain instead.
+    ratio = key_calls_per_step(400) / key_calls_per_step(100)
+    assert ratio <= 2.0, ratio

@@ -652,3 +652,37 @@ def test_goal_directed_never_probes_a_node_with_nothing_to_do():
     probes = [target for step in result.trace.steps
               for target, cause in step.enqueued if cause == "goal_probe"]
     assert probes == ["m"]
+
+
+def test_goal_directed_probes_afresh_each_epoch():
+    # Epoch 1 probes m from the goal n, then p from m. Lowering m reseeds
+    # m and n, and processing m in epoch 2 probes p again: p still holds
+    # only bottoms, and the probe set belongs to one epoch's worklist.
+    from claimlattice.revision import (EpochConfig, RevisionPlan,
+                                       RevisionTarget, run_epochs)
+    graph = chain_graph("p", "m", "n")
+    claims = tuple(seeded_claim(n, f"claim at {n} holds", f"c{n}")
+                   for n in ("p", "m", "n"))
+    cp, cm, cn = claims
+    agent = ScriptedAgent([
+        ScriptEntry("p", cp.key, None, EvalScript(graded(BOT, BOT))),
+        ScriptEntry("m", cm.key, None, EvalScript(graded(W, BOT))),
+        ScriptEntry("n", cn.key, None, EvalScript(graded(BOT, W))),
+    ])
+    caps = ClaimCaps()
+    state = initial_state(graph, asmt.DomainKind.GRADED, claims)
+    plan = RevisionPlan(lowers=(RevisionTarget("m", "cm", "re-examine"),))
+    result = run_epochs(
+        graph, state, goal="the goal", queries=plain_queries(graph),
+        backend=agent, caps=caps,
+        policy=parse_policy("goal-directed", goal_node="n"),
+        budget=TerminationBudget.for_run(state.kind, caps,
+                                         sorted(graph.all_nodes)),
+        epochs=EpochConfig(epoch_limit=2, plans={1: plan}))
+    first, second = result.traces
+    assert first.steps[0].enqueued == (("n", "seed"),)
+    assert second.steps[0].enqueued == (("m", "seed"), ("n", "seed"))
+    for trace in (first, second):
+        probes = [target for step in trace.steps
+                  for target, cause in step.enqueued if cause == "goal_probe"]
+        assert "p" in probes
